@@ -2,8 +2,18 @@
 
 Workflows and pipelines are stored under text keys; retrieval embeds the
 query and returns the best record by cosine similarity when it clears a
-per-kind threshold. The store is a plain linear scan over a JSON-persistable
-record list: sizes are tens to hundreds of records, so no index is needed.
+per-kind threshold.
+
+Each kind keeps its records in store order and their embeddings as float64
+rows of blocks of 16, 32, 64, ... up to 1,024 rows. Blocks are never copied
+or resized, so a record's ``embedding.values`` is a read-only view of its row
+and each vector is held once. Retrieval scores each block with one
+matrix-vector product, then scores the rows within 1e-9 of the best again
+with ``Embedding.cosine`` and returns the highest, earliest on ties, with that
+exact score, which is also the value compared with the threshold. The two
+products round differently (by about 1e-16 for unit vectors), and this gives
+the record and the float of a per-record scan whenever they differ by less
+than 5e-10.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ import json
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -60,11 +70,18 @@ class Embedding:
         if arr.ndim != 1:
             raise ValueError("embeddings are one-dimensional")
         norm = float(np.linalg.norm(arr))
-        if norm != 0.0 and abs(norm - 1.0) > _UNIT_TOLERANCE:
+        if norm != 0.0 and not abs(norm - 1.0) <= _UNIT_TOLERANCE:
             raise ValueError(f"embedding norm must be 1 or 0, got {norm}")
         arr = arr.copy()
         arr.setflags(write=False)
         self.values = arr
+
+    @classmethod
+    def _of_row(cls, row: np.ndarray) -> "Embedding":
+        """Wrap a checked, read-only block row without copying it."""
+        embedding = cls.__new__(cls)
+        embedding.values = row
+        return embedding
 
     @classmethod
     def from_raw(cls, raw: Any) -> "Embedding":
@@ -208,6 +225,63 @@ def _check_payload(kind: RecordKind, payload: dict[str, Any]) -> None:
         raise PayloadKindMismatch("a workflow payload carries entries")
 
 
+_FIRST_BLOCK_ROWS = 16
+_MAX_BLOCK_ROWS = 1024
+_SCORE_TOLERANCE = 1e-9
+
+
+class _KindRows:
+    """One kind's records in store order, their embeddings in row blocks.
+
+    A row is written before its record is appended and never changes after;
+    blocks are only appended. A reader holding ``len(records)`` and a copy of
+    ``blocks`` taken under the store's lock may therefore score those rows
+    without the lock while ``append`` fills later ones.
+    """
+
+    def __init__(self, kind: RecordKind, dimension: int) -> None:
+        self.kind = kind
+        self.dimension = dimension
+        self.records: list[MemoryRecord] = []
+        self.blocks: list[np.ndarray] = []
+        self._capacity = 0
+
+    def append(
+        self, record_id: int, key_text: str, payload: dict[str, Any], values: Any
+    ) -> MemoryRecord:
+        """Copy ``values`` into the next free row and append a record viewing it."""
+        count = len(self.records)
+        if count == self._capacity:
+            size = (min(2 * len(self.blocks[-1]), _MAX_BLOCK_ROWS)
+                    if self.blocks else _FIRST_BLOCK_ROWS)
+            self.blocks.append(np.zeros((size, self.dimension)))
+            self._capacity += size
+        block = self.blocks[-1]
+        row = block[count - (self._capacity - len(block))]
+        row[...] = values
+        row.flags.writeable = False
+        record = MemoryRecord(record_id, self.kind, key_text, Embedding._of_row(row), payload)
+        self.records.append(record)
+        return record
+
+    def check_norms(self) -> None:
+        """Raise ValueError unless every row has norm 1 or 0, like an ``Embedding``."""
+        for rows in _filled(self.blocks, len(self.records)):
+            norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+            bad = (norms != 0.0) & ~(np.abs(norms - 1.0) <= _UNIT_TOLERANCE)
+            if bad.any():
+                raise ValueError(f"embedding norm must be 1 or 0, got {norms[bad][0]}")
+
+
+def _filled(blocks: list[np.ndarray], count: int) -> Iterator[np.ndarray]:
+    """The first ``count`` rows of ``blocks``, one slice per block."""
+    for block in blocks:
+        if count <= 0:
+            return
+        yield block[:count]
+        count -= len(block)
+
+
 class ExperienceMemory:
     """Concurrent-read, serialized-write record store with cosine retrieval."""
 
@@ -218,6 +292,9 @@ class ExperienceMemory:
     ) -> None:
         self._embedder = embedder or LocalDeterministicEmbedder()
         self._records: list[MemoryRecord] = []
+        self._by_id: dict[int, MemoryRecord] = {}
+        self._kinds = {kind: _KindRows(kind, self.dimension) for kind in RecordKind}
+        self._next_id = 1
         self._lock = threading.Lock()
         self._thresholds = {kind: DEFAULT_RETRIEVAL_THRESHOLD for kind in RecordKind}
         self._thresholds.update(thresholds or {})
@@ -241,14 +318,10 @@ class ExperienceMemory:
                 f"embedding dimension {embedding.dimension} != store dimension {self.dimension}"
             )
         with self._lock:
-            record = MemoryRecord(
-                record_id=len(self._records) + 1,
-                kind=kind,
-                key_text=key_text,
-                embedding=embedding,
-                payload=payload,
-            )
+            record = self._kinds[kind].append(self._next_id, key_text, payload, embedding.values)
+            self._next_id += 1
             self._records.append(record)
+            self._by_id[record.record_id] = record
             self.stats.writes += 1
         return record.record_id
 
@@ -262,34 +335,35 @@ class ExperienceMemory:
         """
         if threshold is None:
             threshold = self._thresholds[kind]
+        kind_rows = self._kinds[kind]
         with self._lock:
-            records = list(self._records)
+            count, blocks = len(kind_rows.records), list(kind_rows.blocks)
             self.stats.reads += 1
         query = self.embed(query_text)
-        best: tuple[MemoryRecord, float] | None = None
-        for record in records:
-            if record.kind is not kind:
-                continue
-            similarity = query.cosine(record.embedding)
-            if best is None or similarity > best[1]:
-                best = (record, similarity)
-        if best is not None and best[1] >= threshold:
-            return best
-        return None
+        if count == 0:
+            return None
+        scores = np.concatenate([part @ query.values for part in _filled(blocks, count)])
+        best = scores.max()
+        if best < threshold - _SCORE_TOLERANCE:
+            return None
+        near_best = [kind_rows.records[i]
+                     for i in np.flatnonzero(scores >= best - _SCORE_TOLERANCE)]
+        # max keeps the first of equal scores: the earliest-stored record
+        record, similarity = max(
+            ((r, query.cosine(r.embedding)) for r in near_best), key=lambda hit: hit[1]
+        )
+        return (record, similarity) if similarity >= threshold else None
 
     def get(self, record_id: int) -> MemoryRecord:
         with self._lock:
-            for record in self._records:
-                if record.record_id == record_id:
-                    return record
-        raise UnknownRecord(f"no record with id {record_id}")
+            record = self._by_id.get(record_id)
+        if record is None:
+            raise UnknownRecord(f"no record with id {record_id}")
+        return record
 
     def records(self, kind: RecordKind | None = None) -> list[MemoryRecord]:
         with self._lock:
-            records = list(self._records)
-        if kind is None:
-            return records
-        return [r for r in records if r.kind is kind]
+            return list(self._records if kind is None else self._kinds[kind].records)
 
     def __len__(self) -> int:
         with self._lock:
@@ -325,6 +399,7 @@ class ExperienceMemory:
         embedder: LocalDeterministicEmbedder | ExternalApiEmbedder | None = None,
         thresholds: dict[RecordKind, float] | None = None,
     ) -> "ExperienceMemory":
+        """Read a snapshot written by ``save``, validating every record."""
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         store = cls(embedder=embedder, thresholds=thresholds)
@@ -333,12 +408,22 @@ class ExperienceMemory:
                 f"snapshot dimension {doc['dimension']} != embedder dimension {store.dimension}"
             )
         for raw in doc.get("records", []):
-            record = MemoryRecord(
-                record_id=int(raw["id"]),
-                kind=RecordKind(raw["kind"]),
-                key_text=raw["key_text"],
-                embedding=Embedding(raw["embedding"]),
-                payload=raw["payload"],
+            kind = RecordKind(raw["kind"])
+            _check_payload(kind, raw["payload"])
+            embedding = raw["embedding"]
+            if not isinstance(embedding, list) or len(embedding) != store.dimension:
+                raise DimensionMismatch(
+                    f"record {raw['id']} lacks an embedding of dimension {store.dimension}"
+                )
+            # parsed straight into the blocks, with no Embedding copy in between
+            record = store._kinds[kind].append(
+                int(raw["id"]), raw["key_text"], raw["payload"], embedding
             )
+            if record.record_id in store._by_id:
+                raise ValueError(f"snapshot has more than one record with id {record.record_id}")
+            store._by_id[record.record_id] = record
             store._records.append(record)
+        for kind_rows in store._kinds.values():
+            kind_rows.check_norms()
+        store._next_id = max(store._by_id, default=0) + 1
         return store

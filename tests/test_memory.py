@@ -56,6 +56,8 @@ def test_embeddings_are_unit_norm():
 def test_embedding_constructor_enforces_norm_invariant():
     with pytest.raises(ValueError):
         Embedding([3.0, 4.0])
+    with pytest.raises(ValueError):
+        Embedding([float("nan"), 0.0])
     Embedding([0.0, 0.0])  # zero vector allowed
     Embedding([0.6, 0.8])  # unit vector allowed
 
@@ -230,6 +232,41 @@ def test_snapshot_format_shape(tmp_path):
     record = doc["records"][0]
     assert set(record) == {"id", "kind", "key_text", "embedding", "payload"}
     assert isinstance(record["embedding"], list)
+
+
+def _write_snapshot(tmp_path, records, dimension=4):
+    path = tmp_path / "memory.json"
+    path.write_text(json.dumps({"dimension": dimension, "records": records}))
+    return str(path)
+
+
+def _raw_record(record_id, kind=RecordKind.WORKFLOW, embedding=(1.0, 0.0, 0.0, 0.0)):
+    payload = WORKFLOW_PAYLOAD if kind is RecordKind.WORKFLOW else PIPELINE_PAYLOAD
+    return {"id": record_id, "kind": kind.value, "key_text": f"key {record_id}",
+            "embedding": list(embedding), "payload": payload}
+
+
+def test_store_after_loading_ids_with_a_gap_assigns_a_new_id(tmp_path):
+    path = _write_snapshot(tmp_path, [_raw_record(1), _raw_record(3)])
+    memory = ExperienceMemory.load(path, embedder=LocalDeterministicEmbedder(dimension=4))
+    new_id = memory.store(RecordKind.WORKFLOW, "fresh key", WORKFLOW_PAYLOAD)
+    assert [r.record_id for r in memory.records()] == [1, 3, 4]
+    assert new_id == 4 and memory.get(4).key_text == "fresh key"
+    assert memory.get(3).key_text == "key 3"
+
+
+@pytest.mark.parametrize("records, error", [
+    ([_raw_record(1), _raw_record(2), _raw_record(1)], ValueError),
+    ([_raw_record(1), {**_raw_record(2, RecordKind.PIPELINE), "payload": WORKFLOW_PAYLOAD}],
+     PayloadKindMismatch),
+    ([_raw_record(1, embedding=(1.0, 0.0, 0.0))], DimensionMismatch),
+    ([_raw_record(1, embedding=(3.0, 4.0, 0.0, 0.0))], ValueError),
+    ([_raw_record(1, embedding=(float("nan"), 0.0, 0.0, 0.0))], ValueError),
+], ids=["duplicate-id", "payload-of-other-kind", "short-embedding", "not-unit", "nan"])
+def test_load_rejects_a_bad_snapshot(tmp_path, records, error):
+    path = _write_snapshot(tmp_path, records)
+    with pytest.raises(error):
+        ExperienceMemory.load(path, embedder=LocalDeterministicEmbedder(dimension=4))
 
 
 def test_default_threshold_is_configurable_per_kind():
