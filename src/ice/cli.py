@@ -117,12 +117,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = _run_config(args, RunMode.TRAIN)
     reports = []
     failures = []
+    backend_failed = False
     for path in args.tasks:
         task = TaskSpec.from_file(path)
         try:
             reports.append(run_task(task, memory, backend, config))
         except IceError as exc:
             failures.append({"task_id": task.task_id, "error": str(exc)})
+            # the engine re-raises a backend failure as TaskAborted from it
+            backend_failed |= isinstance(exc, BackendError) or isinstance(
+                exc.__cause__, BackendError)
             print(f"task {task.task_id} failed: {exc}", file=sys.stderr)
     if args.memory:
         memory.save(args.memory)
@@ -132,8 +136,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "memory_records": len(memory),
     }
     _write_or_print(args.out, json.dumps(doc, indent=2, ensure_ascii=False) + "\n")
-    if any(isinstance(f.get("error"), str) and "backend" in f["error"].lower()
-           for f in failures):
+    if backend_failed:
         return EXIT_BACKEND
     return EXIT_TASK if failures else EXIT_OK
 

@@ -13,6 +13,7 @@ Two consolidation paths:
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Any
@@ -366,7 +367,9 @@ def _render_demo(index: int, demo: ConsolidationDemo) -> str:
     )
 
 
+@functools.cache
 def consolidation_system_prompt() -> str:
+    """The fixed system prompt with both demonstrations, rendered once."""
     examples = "\n".join(_render_demo(i, d) for i, d in enumerate(DEMONSTRATIONS, 1))
     # str.replace, not str.format: the template body is full of JSON braces
     return _SYSTEM_TEMPLATE.replace("{examples}", examples)

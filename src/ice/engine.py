@@ -30,6 +30,7 @@ from .env import SimulatedEnvironment, build_environment, evaluate_milestones
 from .errors import (
     BackendError,
     IceError,
+    InvalidGoal,
     PipelineRunFailed,
     PlanParseError,
     RectifyParseError,
@@ -261,8 +262,12 @@ def parse_plan_reply(text: str) -> list[tuple[str, list[str]]]:
     subgoals = doc.get("subgoals")
     if not isinstance(subgoals, list):
         raise ValueError('the reply needs a "subgoals" list')
+    return _parse_subgoals(subgoals)
+
+
+def _parse_subgoals(items: list[Any]) -> list[tuple[str, list[str]]]:
     parsed = []
-    for item in subgoals:
+    for item in items:
         if not isinstance(item, dict) or not isinstance(item.get("description"), str):
             raise ValueError("every subgoal needs a string description")
         milestones = item.get("milestones", [])
@@ -288,6 +293,8 @@ def parse_rectify_reply(text: str) -> list[RectifyAction]:
         raise ValueError('the reply needs a non-empty "actions" list')
     actions = []
     for raw in raw_actions:
+        if not isinstance(raw, dict):
+            raise ValueError("every action must be an object")
         kind = raw.get("kind")
         if kind == "split":
             anchor = raw.get("target")
@@ -300,15 +307,15 @@ def parse_rectify_reply(text: str) -> list[RectifyAction]:
         subgoals = raw.get("subgoals")
         if not isinstance(subgoals, list) or not subgoals:
             raise ValueError("actions need a non-empty subgoals list")
-        parsed = []
-        for item in subgoals:
-            if not isinstance(item, dict) or not isinstance(item.get("description"), str):
-                raise ValueError("every subgoal needs a string description")
-            parsed.append((item["description"], list(item.get("milestones", []))))
+        parsed = _parse_subgoals(subgoals)
+        try:
+            anchor_id = GoalId.parse(anchor)
+        except InvalidGoal as exc:
+            raise ValueError(str(exc)) from exc
         actions.append(
             RectifyAction(
                 kind=RectificationKind(kind),
-                anchor=GoalId.parse(anchor),
+                anchor=anchor_id,
                 subgoals=tuple(parsed),
             )
         )

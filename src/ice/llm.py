@@ -15,8 +15,6 @@ import json
 import os
 import re
 import threading
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
@@ -241,6 +239,9 @@ class HttpChatBackend(LlmBackend):
             )
 
     def _complete(self, request: CompletionRequest) -> str:
+        import urllib.error
+        import urllib.request
+
         wire_messages = [{"role": "system", "content": request.system}]
         wire_messages.extend(
             {"role": m.role.value.lower(), "content": m.content}

@@ -282,6 +282,52 @@ def _filled(blocks: list[np.ndarray], count: int) -> Iterator[np.ndarray]:
         count -= len(block)
 
 
+# -- snapshot text ---------------------------------------------------------------
+#
+# ``json.dumps`` with ``indent`` falls back to the pure-Python encoder, which
+# takes an embedding's floats one by one. ``save`` renders the same text, byte
+# for byte, from each record's parts instead: an embedding row is mostly
+# ``0.0``, so only its other cells go through ``repr``; a payload dumped with
+# ``indent=2`` on its own only needs its lines shifted to the record's depth,
+# which is safe because JSON text never has a raw newline inside a string.
+
+_KIND_JSON = {kind: json.dumps(kind.value) for kind in RecordKind}
+_EMBEDDING_SEPARATOR = ",\n" + " " * 8
+_PAYLOAD_NEWLINE = "\n" + " " * 6
+
+
+def _embedding_json(values: np.ndarray) -> str:
+    cells = ["0.0"] * len(values)
+    if not cells:
+        return "[]"
+    # +0.0 is the only float with no bit set, so -0.0 keeps its sign
+    set_bits = np.flatnonzero(values.view(np.int64))
+    for i, value in zip(set_bits.tolist(), values[set_bits].tolist()):
+        cells[i] = repr(value)
+    return "[\n        " + _EMBEDDING_SEPARATOR.join(cells) + "\n      ]"
+
+
+def _record_json(record: MemoryRecord) -> str:
+    payload = json.dumps(record.payload, indent=2, ensure_ascii=False)
+    payload = payload.replace("\n", _PAYLOAD_NEWLINE)
+    return (
+        "    {\n"
+        f'      "id": {record.record_id},\n'
+        f'      "kind": {_KIND_JSON[record.kind]},\n'
+        f'      "key_text": {json.dumps(record.key_text, ensure_ascii=False)},\n'
+        f'      "embedding": {_embedding_json(record.embedding.values)},\n'
+        f'      "payload": {payload}\n'
+        "    }"
+    )
+
+
+def _snapshot_text(dimension: int, records: list[MemoryRecord]) -> str:
+    head = f'{{\n  "dimension": {json.dumps(dimension)},\n  "records": '
+    if not records:
+        return head + "[]\n}\n"
+    return head + "[\n" + ",\n".join(map(_record_json, records)) + "\n  ]\n}\n"
+
+
 class ExperienceMemory:
     """Concurrent-read, serialized-write record store with cosine retrieval."""
 
@@ -387,8 +433,11 @@ class ExperienceMemory:
         }
 
     def save(self, path: str) -> None:
-        # to_dict snapshots the record list under the lock itself
-        text = json.dumps(self.to_dict(), indent=2, ensure_ascii=False) + "\n"
+        """Write the snapshot: the bytes of ``json.dumps(self.to_dict(),
+        indent=2, ensure_ascii=False) + "\\n"``, rendered record by record."""
+        # the whole text is rendered before the file is opened, so a payload
+        # that cannot be encoded leaves an existing snapshot untouched
+        text = _snapshot_text(self.dimension, self.records())
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
 

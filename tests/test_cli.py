@@ -7,6 +7,7 @@ import pytest
 from conftest import DATA_DIR, SUITE_DIR
 from ice.cli import main
 from ice.consolidate import DEMONSTRATIONS
+from ice.errors import HttpBackendError, PlanParseError, TaskAborted
 from ice.memory import ExperienceMemory
 from ice.pipeline import dumps_pipeline, pipeline_from_dict
 from ice.trajectory import Step, StepOutcome, Trajectory, TrajectoryStatus, write_trajectory_log
@@ -66,6 +67,35 @@ def test_train_rerun_with_same_inputs_is_byte_identical(tmp_path, capsys):
         paths.append(memory_path)
     capsys.readouterr()
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_train_against_a_scenario_without_a_matching_rule_exits_three(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text("[]")
+    code = main(["train", TRAIN_TASKS[0], "--backend", f"scripted:{scenario}",
+                 "--out", str(tmp_path / "out.json")])
+    assert code == 3
+    capsys.readouterr()
+
+
+def aborted_by(cause):
+    error = TaskAborted("task stopped")
+    error.__cause__ = cause
+    return error
+
+
+@pytest.mark.parametrize("error, code", [
+    (PlanParseError("repair limit exhausted: the backend reply names no subgoals"), 2),
+    (aborted_by(HttpBackendError("status 503")), 3),
+], ids=["parse-error-mentioning-backend", "aborted-by-http-error"])
+def test_train_exit_code_follows_the_error_type(tmp_path, capsys, monkeypatch, error, code):
+    def failing_run_task(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("ice.cli.run_task", failing_run_task)
+    assert main(["train", TRAIN_TASKS[0], "--backend", f"scripted:{SCENARIO}",
+                 "--out", str(tmp_path / "out.json")]) == code
+    capsys.readouterr()
 
 
 def test_run_single_task_in_exploit_mode(tmp_path, capsys):

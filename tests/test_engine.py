@@ -443,6 +443,26 @@ def test_rectify_invalid_target_feeds_repair_and_tree_stays_intact():
     assert len(tree.log) == 1  # the rejected reply left no trace
 
 
+@pytest.mark.parametrize("bad_action", [
+    "split 2 into smaller steps",
+    {"kind": "split", "target": "2-x", "subgoals": [{"description": "bad"}]},
+    {"kind": "split", "target": "2", "subgoals": [
+        {"description": "bad", "milestones": "file_exists:a.txt"}]},
+], ids=["action-not-an-object", "malformed-goal-id", "string-milestones"])
+def test_malformed_rectify_reply_is_re_prompted(bad_action):
+    runner = failed_leaf_runner([
+        {"match": "Could not apply that reply", "response": {"actions": [
+            {"kind": "split", "target": "2", "subgoals": [
+                {"description": "fixed", "milestones": ["file_exists:a.txt"]}]}]}},
+        {"match": "Failed subgoal", "response": {"actions": [bad_action]}},
+    ])
+    tree = runner.rectify_plan(g("2"))
+    assert runner.backend.counters.by_tag(CallTag.PLANNING) == 2
+    [child] = tree.find(g("2")).children
+    assert (child.description, child.milestones) == ("fixed", ["file_exists:a.txt"])
+    assert len(tree.log) == 1
+
+
 def test_rectify_parse_error_after_budget():
     runner = failed_leaf_runner(
         [{"match": "", "response": "nonsense"}],

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ice.errors import DimensionMismatch, PayloadKindMismatch, UnknownRecord
@@ -232,6 +232,80 @@ def test_snapshot_format_shape(tmp_path):
     record = doc["records"][0]
     assert set(record) == {"id", "kind", "key_text", "embedding", "payload"}
     assert isinstance(record["embedding"], list)
+
+
+class QueueEmbedder:
+    """Hands out the given vectors in order, whatever the text."""
+
+    def __init__(self, dimension, vectors=()):
+        self.dimension = dimension
+        self.vectors = list(vectors)
+
+    def embed(self, text):
+        return Embedding(self.vectors.pop(0))
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+               1.0, -1.0, 0.9999999999999999, 1.0000000000000002, 1 / 3]
+SNAPSHOT_TEXT = st.text(st.characters() | st.sampled_from('"\\\n\r\t\x00\x1f\x7f é中😀'))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | SNAPSHOT_TEXT
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(SNAPSHOT_TEXT, inner, max_size=3),
+    max_leaves=10,
+)
+
+
+@st.composite
+def unit_vectors(draw, dimension):
+    """Sparse or dense rows with norm 1, or 0; -0.0 survives the scaling."""
+    raw = np.zeros(dimension)
+    if dimension:
+        if draw(st.booleans()):
+            seed = draw(st.integers(0, 2**32 - 1))
+            raw = np.random.default_rng(seed).uniform(-1.0, 1.0, dimension)
+        cell = st.sampled_from(EDGE_FLOATS) | st.floats(-1.0, 1.0)
+        for i, value in draw(st.dictionaries(st.integers(0, dimension - 1), cell,
+                                             max_size=12)).items():
+            raw[i] = value
+    norm = float(np.linalg.norm(raw))
+    return raw / norm if norm else raw
+
+
+@st.composite
+def snapshot_contents(draw):
+    dimension = draw(st.integers(0, 300))
+    records = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(list(RecordKind)))
+        required = ("entries",) if kind is RecordKind.WORKFLOW else ("nodes", "edges")
+        payload = draw(st.dictionaries(SNAPSHOT_TEXT, JSON_VALUES, max_size=3))
+        payload.update({key: draw(JSON_VALUES) for key in required})
+        records.append((kind, draw(SNAPSHOT_TEXT), payload, draw(unit_vectors(dimension))))
+    return dimension, records
+
+
+@given(contents=snapshot_contents())
+@example(contents=(256, []))
+@settings(max_examples=80, deadline=None)
+def test_save_writes_the_indented_json_of_to_dict(tmp_path_factory, contents):
+    dimension, records = contents
+    memory = ExperienceMemory(embedder=QueueEmbedder(dimension, [r[3] for r in records]))
+    for kind, key_text, payload, _ in records:
+        memory.store(kind, key_text, payload)
+    path = tmp_path_factory.mktemp("snapshot") / "memory.json"
+    memory.save(str(path))
+    expected = json.dumps(memory.to_dict(), indent=2, ensure_ascii=False) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+    loaded = ExperienceMemory.load(str(path), embedder=QueueEmbedder(dimension))
+    assert len(loaded) == len(records)
+    for before, after in zip(memory.records(), loaded.records()):
+        assert (after.record_id, after.kind, after.key_text, after.payload) == (
+            before.record_id, before.kind, before.key_text, before.payload)
+        # bit patterns, so a lost sign on -0.0 fails too
+        assert after.embedding.values.tobytes() == before.embedding.values.tobytes()
 
 
 def _write_snapshot(tmp_path, records, dimension=4):
