@@ -435,11 +435,11 @@ class ExperienceMemory:
     def save(self, path: str) -> None:
         """Write the snapshot: the bytes of ``json.dumps(self.to_dict(),
         indent=2, ensure_ascii=False) + "\\n"``, rendered record by record."""
-        # the whole text is rendered before the file is opened, so a payload
-        # that cannot be encoded leaves an existing snapshot untouched
-        text = _snapshot_text(self.dimension, self.records())
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        # the whole text is rendered and encoded before the file is opened, so
+        # a payload that cannot be encoded leaves an existing snapshot untouched
+        data = _snapshot_text(self.dimension, self.records()).encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(data)
 
     @classmethod
     def load(

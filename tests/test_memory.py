@@ -247,7 +247,9 @@ class QueueEmbedder:
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
                1.0, -1.0, 0.9999999999999999, 1.0000000000000002, 1 / 3]
-SNAPSHOT_TEXT = st.text(st.characters() | st.sampled_from('"\\\n\r\t\x00\x1f\x7f é中😀'))
+# lone surrogates (category Cs) have no UTF-8 form; their save is tested apart
+SNAPSHOT_TEXT = st.text(st.characters(exclude_categories=("Cs",))
+                        | st.sampled_from('"\\\n\r\t\x00\x1f\x7f é中😀'))
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | SNAPSHOT_TEXT
     | st.floats(allow_nan=False, allow_infinity=False),
@@ -306,6 +308,18 @@ def test_save_writes_the_indented_json_of_to_dict(tmp_path_factory, contents):
             before.record_id, before.kind, before.key_text, before.payload)
         # bit patterns, so a lost sign on -0.0 fails too
         assert after.embedding.values.tobytes() == before.embedding.values.tobytes()
+
+
+def test_save_of_a_lone_surrogate_raises_and_keeps_the_old_snapshot(tmp_path):
+    memory = ExperienceMemory(embedder=QueueEmbedder(4, [np.array([1.0, 0.0, 0.0, 0.0])] * 2))
+    memory.store(RecordKind.WORKFLOW, "ok", {"entries": []})
+    path = tmp_path / "memory.json"
+    memory.save(str(path))
+    before = path.read_bytes()
+    memory.store(RecordKind.WORKFLOW, "\ud800", {"entries": []})
+    with pytest.raises(UnicodeEncodeError):
+        memory.save(str(path))
+    assert path.read_bytes() == before
 
 
 def _write_snapshot(tmp_path, records, dimension=4):
