@@ -153,6 +153,8 @@ class ArmResult:
     memory_snapshot: dict[str, Any] = field(default_factory=dict)
     memory_reads: int = 0
     memory_writes: int = 0
+    # the arm's store itself, for writing its snapshot file; not in reports
+    memory: ExperienceMemory | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -323,6 +325,7 @@ def run_arm(spec: BenchSpec, arm: ArmSpec) -> ArmResult:
         memory_snapshot=memory.to_dict(),
         memory_reads=memory.stats.reads,
         memory_writes=memory.stats.writes,
+        memory=memory,
     )
 
 

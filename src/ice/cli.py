@@ -175,10 +175,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         (out / "bench_report.json").write_text(result.to_json(), encoding="utf-8")
         (out / "bench_table.txt").write_text(table, encoding="utf-8")
         for arm in result.arms:
-            snapshot = json.dumps(arm.memory_snapshot, indent=2,
-                                  ensure_ascii=False) + "\n"
-            (out / f"memory_{arm.arm.name}.json").write_text(snapshot,
-                                                             encoding="utf-8")
+            arm.memory.save(str(out / f"memory_{arm.arm.name}.json"))
     if result.failures:
         for failure in result.failures:
             print(f"arm {failure['arm']} failed: {failure['error']}",

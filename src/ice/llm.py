@@ -70,14 +70,6 @@ class CompletionRequest:
             raise ValueError("a completion request needs at least one message")
 
 
-def user_message(content: str) -> Message:
-    return Message(Role.USER, content)
-
-
-def assistant_message(content: str) -> Message:
-    return Message(Role.ASSISTANT, content)
-
-
 def render_request(request: CompletionRequest) -> str:
     """Flatten a request to one string: system first, then role-prefixed messages.
 

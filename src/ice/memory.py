@@ -5,15 +5,19 @@ query and returns the best record by cosine similarity when it clears a
 per-kind threshold.
 
 Each kind keeps its records in store order and their embeddings as float64
-rows of blocks of 16, 32, 64, ... up to 1,024 rows. Blocks are never copied
-or resized, so a record's ``embedding.values`` is a read-only view of its row
-and each vector is held once. Retrieval scores each block with one
-matrix-vector product, then scores the rows within 1e-9 of the best again
-with ``Embedding.cosine`` and returns the highest, earliest on ties, with that
-exact score, which is also the value compared with the threshold. The two
-products round differently (by about 1e-16 for unit vectors), and this gives
-the record and the float of a per-record scan whenever they differ by less
-than 5e-10.
+columns of column-major blocks, ``(dimension, n)`` with n = 16, 32, 64, ... up
+to 1,024. Blocks are never copied or resized, so a record's
+``embedding.values`` is a read-only view of its column and each vector is held
+once. Retrieval scores each block with one vector-matrix product. A query
+with zero cells (the token-hash embedder's are mostly zero) is multiplied
+with only the block rows of its non-zero coordinates, which are contiguous in
+this layout; the terms left out are exact zeros. A query with no zero cell is
+multiplied with the whole block. The records whose fast score is within 1e-9
+of the best are then scored again with ``Embedding.cosine``, and the highest,
+earliest on ties, is returned with that exact score, which is also the value
+compared with the threshold. The fast and exact products round differently
+(by about 1e-16 for unit vectors), and this gives the record and the float of
+a per-record scan whenever they differ by less than 5e-10.
 """
 
 from __future__ import annotations
@@ -77,10 +81,10 @@ class Embedding:
         self.values = arr
 
     @classmethod
-    def _of_row(cls, row: np.ndarray) -> "Embedding":
-        """Wrap a checked, read-only block row without copying it."""
+    def _of_column(cls, column: np.ndarray) -> "Embedding":
+        """Wrap a checked, read-only block column without copying it."""
         embedding = cls.__new__(cls)
-        embedding.values = row
+        embedding.values = column
         return embedding
 
     @classmethod
@@ -101,7 +105,10 @@ class Embedding:
 
     def cosine(self, other: "Embedding") -> float:
         """Dot product of unit vectors; 0 whenever either side is zero."""
-        return float(self.values @ other.values)
+        # a stored embedding is a strided block column, and BLAS rounds a
+        # strided dot product differently from a contiguous one; contiguous
+        # operands give a stored record the score of a fresh embedding
+        return float(np.ascontiguousarray(self.values) @ np.ascontiguousarray(other.values))
 
 
 class LocalDeterministicEmbedder:
@@ -225,18 +232,20 @@ def _check_payload(kind: RecordKind, payload: dict[str, Any]) -> None:
         raise PayloadKindMismatch("a workflow payload carries entries")
 
 
-_FIRST_BLOCK_ROWS = 16
-_MAX_BLOCK_ROWS = 1024
+_FIRST_BLOCK_COLUMNS = 16
+_MAX_BLOCK_COLUMNS = 1024
 _SCORE_TOLERANCE = 1e-9
 
 
-class _KindRows:
-    """One kind's records in store order, their embeddings in row blocks.
+class _KindRecords:
+    """One kind's records in store order, their embeddings in column blocks.
 
-    A row is written before its record is appended and never changes after;
-    blocks are only appended. A reader holding ``len(records)`` and a copy of
-    ``blocks`` taken under the store's lock may therefore score those rows
-    without the lock while ``append`` fills later ones.
+    Column ``j`` of the blocks, counted across them in order, is record
+    ``j``'s embedding. A column is written before its record is appended and
+    never changes after; blocks are only appended. A reader holding
+    ``len(records)`` and a copy of ``blocks`` taken under the store's lock may
+    therefore score those columns without the lock while ``append`` fills
+    later ones.
     """
 
     def __init__(self, kind: RecordKind, dimension: int) -> None:
@@ -249,51 +258,54 @@ class _KindRows:
     def append(
         self, record_id: int, key_text: str, payload: dict[str, Any], values: Any
     ) -> MemoryRecord:
-        """Copy ``values`` into the next free row and append a record viewing it."""
+        """Copy ``values`` into the next free column and append a record viewing it."""
         count = len(self.records)
         if count == self._capacity:
-            size = (min(2 * len(self.blocks[-1]), _MAX_BLOCK_ROWS)
-                    if self.blocks else _FIRST_BLOCK_ROWS)
-            self.blocks.append(np.zeros((size, self.dimension)))
+            size = (min(2 * self.blocks[-1].shape[1], _MAX_BLOCK_COLUMNS)
+                    if self.blocks else _FIRST_BLOCK_COLUMNS)
+            self.blocks.append(np.zeros((self.dimension, size)))
             self._capacity += size
         block = self.blocks[-1]
-        row = block[count - (self._capacity - len(block))]
-        row[...] = values
-        row.flags.writeable = False
-        record = MemoryRecord(record_id, self.kind, key_text, Embedding._of_row(row), payload)
+        column = block[:, count - (self._capacity - block.shape[1])]
+        column[...] = values
+        column.flags.writeable = False
+        record = MemoryRecord(record_id, self.kind, key_text,
+                              Embedding._of_column(column), payload)
         self.records.append(record)
         return record
 
     def check_norms(self) -> None:
-        """Raise ValueError unless every row has norm 1 or 0, like an ``Embedding``."""
-        for rows in _filled(self.blocks, len(self.records)):
-            norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        """Raise ValueError unless every column has norm 1 or 0, like an ``Embedding``."""
+        for columns in _filled(self.blocks, len(self.records)):
+            norms = np.sqrt(np.einsum("ij,ij->j", columns, columns))
             bad = (norms != 0.0) & ~(np.abs(norms - 1.0) <= _UNIT_TOLERANCE)
             if bad.any():
                 raise ValueError(f"embedding norm must be 1 or 0, got {norms[bad][0]}")
 
 
 def _filled(blocks: list[np.ndarray], count: int) -> Iterator[np.ndarray]:
-    """The first ``count`` rows of ``blocks``, one slice per block."""
+    """The first ``count`` columns of ``blocks``, one slice per block."""
     for block in blocks:
         if count <= 0:
             return
-        yield block[:count]
-        count -= len(block)
+        yield block[:, :count]
+        count -= block.shape[1]
 
 
 # -- snapshot text ---------------------------------------------------------------
 #
 # ``json.dumps`` with ``indent`` falls back to the pure-Python encoder, which
 # takes an embedding's floats one by one. ``save`` renders the same text, byte
-# for byte, from each record's parts instead: an embedding row is mostly
-# ``0.0``, so only its other cells go through ``repr``; a payload dumped with
-# ``indent=2`` on its own only needs its lines shifted to the record's depth,
-# which is safe because JSON text never has a raw newline inside a string.
+# for byte, from each record's parts instead: an embedding is mostly
+# ``0.0``, so only its other cells go through ``repr``; a payload's objects,
+# arrays and strings are laid out directly at the record's depth, and any
+# other value is dumped on its own with its lines shifted to that depth, which
+# is safe because JSON text never has a raw newline inside a string.
 
 _KIND_JSON = {kind: json.dumps(kind.value) for kind in RecordKind}
 _EMBEDDING_SEPARATOR = ",\n" + " " * 8
 _PAYLOAD_NEWLINE = "\n" + " " * 6
+_encode_string = json.encoder.encode_basestring
 
 
 def _embedding_json(values: np.ndarray) -> str:
@@ -307,9 +319,34 @@ def _embedding_json(values: np.ndarray) -> str:
     return "[\n        " + _EMBEDDING_SEPARATOR.join(cells) + "\n      ]"
 
 
+def _payload_json(value: Any, newline: str) -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)`` with ``newline``
+    (a newline and the current line's indentation) in place of each newline."""
+    if isinstance(value, str):
+        return _encode_string(value)
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = (f"{_encode_string(key)}: {_payload_json(item, inner)}"
+                 for key, item in value.items())
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = (_payload_json(item, inner) for item in value)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, bool):  # before int, of which bool is a subclass
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    # None, floats, objects with keys that are not strings, and what json rejects
+    return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", newline)
+
+
 def _record_json(record: MemoryRecord) -> str:
-    payload = json.dumps(record.payload, indent=2, ensure_ascii=False)
-    payload = payload.replace("\n", _PAYLOAD_NEWLINE)
+    payload = _payload_json(record.payload, _PAYLOAD_NEWLINE)
     return (
         "    {\n"
         f'      "id": {record.record_id},\n'
@@ -339,7 +376,7 @@ class ExperienceMemory:
         self._embedder = embedder or LocalDeterministicEmbedder()
         self._records: list[MemoryRecord] = []
         self._by_id: dict[int, MemoryRecord] = {}
-        self._kinds = {kind: _KindRows(kind, self.dimension) for kind in RecordKind}
+        self._kinds = {kind: _KindRecords(kind, self.dimension) for kind in RecordKind}
         self._next_id = 1
         self._lock = threading.Lock()
         self._thresholds = {kind: DEFAULT_RETRIEVAL_THRESHOLD for kind in RecordKind}
@@ -381,18 +418,29 @@ class ExperienceMemory:
         """
         if threshold is None:
             threshold = self._thresholds[kind]
-        kind_rows = self._kinds[kind]
+        kind_records = self._kinds[kind]
         with self._lock:
-            count, blocks = len(kind_rows.records), list(kind_rows.blocks)
+            count, blocks = len(kind_records.records), list(kind_records.blocks)
             self.stats.reads += 1
         query = self.embed(query_text)
         if count == 0:
             return None
-        scores = np.concatenate([part @ query.values for part in _filled(blocks, count)])
+        values = query.values
+        coordinates = np.flatnonzero(values)
+        if len(coordinates) < len(values):
+            # zero cells add exact zeros to every score: read only the block
+            # rows of the query's non-zero coordinates. ``take`` copies whole
+            # rows, faster than slicing them first; the scores of columns
+            # past ``count``, which ``store`` may be filling meanwhile, are cut
+            values = values[coordinates]
+            scores = np.concatenate(
+                [values @ block.take(coordinates, axis=0) for block in blocks])[:count]
+        else:
+            scores = np.concatenate([values @ part for part in _filled(blocks, count)])
         best = scores.max()
         if best < threshold - _SCORE_TOLERANCE:
             return None
-        near_best = [kind_rows.records[i]
+        near_best = [kind_records.records[i]
                      for i in np.flatnonzero(scores >= best - _SCORE_TOLERANCE)]
         # max keeps the first of equal scores: the earliest-stored record
         record, similarity = max(
@@ -472,7 +520,7 @@ class ExperienceMemory:
                 raise ValueError(f"snapshot has more than one record with id {record.record_id}")
             store._by_id[record.record_id] = record
             store._records.append(record)
-        for kind_rows in store._kinds.values():
-            kind_rows.check_norms()
+        for kind_records in store._kinds.values():
+            kind_records.check_norms()
         store._next_id = max(store._by_id, default=0) + 1
         return store

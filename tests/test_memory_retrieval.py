@@ -14,7 +14,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ice.memory import Embedding, ExperienceMemory, LocalDeterministicEmbedder, RecordKind
@@ -46,6 +46,7 @@ class DenseEmbedder:
 
 EMBEDDERS = {
     "local-16": lambda: LocalDeterministicEmbedder(dimension=16),
+    "local-256": lambda: LocalDeterministicEmbedder(dimension=256),
     "dense-256": lambda: DenseEmbedder(256),
     "dense-37": lambda: DenseEmbedder(37),
 }
@@ -79,6 +80,7 @@ def as_pair(hit):
 
 
 @settings(max_examples=40, deadline=None)
+@example(embedder_name="local-256", workflows=1100, pipelines=40, seed=0)
 @given(embedder_name=st.sampled_from(sorted(EMBEDDERS)),
        workflows=st.sampled_from([0, 1, 15, 16, 17, 48, 49, 1100]),
        pipelines=st.integers(min_value=0, max_value=40),
@@ -126,6 +128,21 @@ def test_retrieval_makes_no_per_record_cosine_calls(monkeypatch):
     hit = memory.retrieve(RecordKind.WORKFLOW, "record 4321", threshold=0.85)
     assert hit is not None and hit[0].record_id == 4322
     assert len(calls) == 1
+
+
+def test_stored_embeddings_score_like_fresh_ones_bit_for_bit():
+    embedder = DenseEmbedder(256)
+    memory = ExperienceMemory(embedder=embedder)
+    keys = [f"record {i}" for i in range(1100)]  # 7 blocks: 16, 32, ..., 1,024
+    for key in keys:
+        memory.store(RecordKind.WORKFLOW, key, PAYLOADS[RecordKind.WORKFLOW])
+    records = memory.records(RecordKind.WORKFLOW)
+    assert len({id(record.embedding.values.base) for record in records}) == 7
+    for query in (embedder.embed("record 7"), embedder.embed("never stored")):
+        for record, key in zip(records, keys):
+            fresh = embedder.embed(key)
+            assert query.cosine(record.embedding) == query.cosine(fresh)
+            assert record.embedding.cosine(query) == fresh.cosine(query)
 
 
 def test_concurrent_stores_and_retrievals():
