@@ -148,13 +148,16 @@ class BenchSpec:
 class ArmResult:
     arm: ArmSpec
     metrics: MetricsReport
+    # the arm's store after its test tasks; not in reports
+    memory: ExperienceMemory = field(repr=False, compare=False)
     train_reports: list[TaskRunReport] = field(default_factory=list)
     test_reports: list[TaskRunReport] = field(default_factory=list)
-    memory_snapshot: dict[str, Any] = field(default_factory=dict)
     memory_reads: int = 0
     memory_writes: int = 0
-    # the arm's store itself, for writing its snapshot file; not in reports
-    memory: ExperienceMemory | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def memory_snapshot(self) -> dict[str, Any]:
+        return self.memory.to_dict()
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -322,10 +325,9 @@ def run_arm(spec: BenchSpec, arm: ArmSpec) -> ArmResult:
         metrics=metrics,
         train_reports=train_reports,
         test_reports=test_reports,
-        memory_snapshot=memory.to_dict(),
+        memory=memory,
         memory_reads=memory.stats.reads,
         memory_writes=memory.stats.writes,
-        memory=memory,
     )
 
 

@@ -8,11 +8,10 @@ Each kind keeps its records in store order and their embeddings as float64
 columns of column-major blocks, ``(dimension, n)`` with n = 16, 32, 64, ... up
 to 1,024. Blocks are never copied or resized, so a record's
 ``embedding.values`` is a read-only view of its column and each vector is held
-once. Retrieval scores each block with one vector-matrix product. A query
-with zero cells (the token-hash embedder's are mostly zero) is multiplied
-with only the block rows of its non-zero coordinates, which are contiguous in
-this layout; the terms left out are exact zeros. A query with no zero cell is
-multiplied with the whole block. The records whose fast score is within 1e-9
+once. Retrieval scores each block with one vector-matrix product of the
+query's non-zero cells (the token-hash embedder's are mostly zero) and the
+block rows of their coordinates, which are contiguous in this layout; the
+terms left out are exact zeros. The records whose fast score is within 1e-9
 of the best are then scored again with ``Embedding.cosine``, and the highest,
 earliest on ties, is returned with that exact score, which is also the value
 compared with the threshold. The fast and exact products round differently
@@ -425,18 +424,14 @@ class ExperienceMemory:
         query = self.embed(query_text)
         if count == 0:
             return None
-        values = query.values
-        coordinates = np.flatnonzero(values)
-        if len(coordinates) < len(values):
-            # zero cells add exact zeros to every score: read only the block
-            # rows of the query's non-zero coordinates. ``take`` copies whole
-            # rows, faster than slicing them first; the scores of columns
-            # past ``count``, which ``store`` may be filling meanwhile, are cut
-            values = values[coordinates]
-            scores = np.concatenate(
-                [values @ block.take(coordinates, axis=0) for block in blocks])[:count]
-        else:
-            scores = np.concatenate([values @ part for part in _filled(blocks, count)])
+        # zero cells add exact zeros to every score: read only the block rows
+        # of the query's non-zero coordinates. ``take`` copies whole rows,
+        # faster than slicing them first; the scores of columns past
+        # ``count``, which ``store`` may be filling meanwhile, are cut
+        coordinates = np.flatnonzero(query.values)
+        values = query.values[coordinates]
+        scores = np.concatenate(
+            [values @ block.take(coordinates, axis=0) for block in blocks])[:count]
         best = scores.max()
         if best < threshold - _SCORE_TOLERANCE:
             return None

@@ -137,17 +137,11 @@ def test_bench_command_writes_reports_and_is_deterministic(tmp_path, capsys):
     by_name = {a["arm"]["name"]: a["metrics"] for a in report["arms"]}
     assert by_name["standard"]["api_calls_all"] == 110
     assert by_name["planning_execution"]["api_calls_all"] == 38
-
-
-def test_bench_memory_files_are_the_indented_json_of_each_arm_snapshot(tmp_path, capsys):
-    assert main(["bench", "--config", str(SUITE_DIR / "bench.json"),
-                 "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
     result = run_bench(BenchSpec.from_file(SUITE_DIR / "bench.json"))
     assert len(result.arms) == 6
     for arm in result.arms:
         expected = json.dumps(arm.memory_snapshot, indent=2, ensure_ascii=False) + "\n"
-        written = (tmp_path / f"memory_{arm.arm.name}.json").read_bytes()
+        written = (outs[0] / f"memory_{arm.arm.name}.json").read_bytes()
         assert written == expected.encode("utf-8")
 
 
