@@ -16,13 +16,16 @@ of the best are then scored again with ``Embedding.cosine``, and the highest,
 earliest on ties, is returned with that exact score, which is also the value
 compared with the threshold. The fast and exact products round differently
 (by about 1e-16 for unit vectors), and this gives the record and the float of
-a per-record scan whenever they differ by less than 5e-10.
+a per-record scan whenever they differ by less than 5e-10. A zero query
+scores exactly 0 against every record, so it gets the earliest record, with no
+score computed, when the threshold is at most 0, and nothing otherwise.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -56,6 +59,9 @@ DEFAULT_RETRIEVAL_THRESHOLD = 0.85
 DEFAULT_DIMENSION = 256
 
 _UNIT_TOLERANCE = 1e-9
+# above this norm no square in the sum of squares underflowed enough to move
+# the norm, so dividing by it gives a unit vector without checking again
+_EXACT_NORM_FLOOR = 1e-140
 
 
 class RecordKind(str, Enum):
@@ -80,19 +86,25 @@ class Embedding:
         self.values = arr
 
     @classmethod
-    def _of_column(cls, column: np.ndarray) -> "Embedding":
-        """Wrap a checked, read-only block column without copying it."""
+    def _wrap(cls, values: np.ndarray) -> "Embedding":
+        """Wrap a read-only vector of norm 1 or 0 without checking or copying it."""
         embedding = cls.__new__(cls)
-        embedding.values = column
+        embedding.values = values
         return embedding
 
     @classmethod
     def from_raw(cls, raw: Any) -> "Embedding":
+        """``raw`` scaled to unit length; the zero vector stays zero."""
         arr = np.asarray(raw, dtype=np.float64)
         norm = float(np.linalg.norm(arr))
-        if norm == 0.0:
-            return cls(np.zeros_like(arr))
-        return cls(arr / norm)
+        if not math.isfinite(norm):
+            raise ValueError(f"embedding norm must be finite, got {norm}")
+        if arr.ndim != 1 or norm < _EXACT_NORM_FLOOR:
+            # zero, tiny or malformed: the constructor checks the result
+            return cls(arr / norm if norm else np.zeros_like(arr))
+        values = arr / norm
+        values.setflags(write=False)
+        return cls._wrap(values)
 
     @property
     def dimension(self) -> int:
@@ -255,9 +267,13 @@ class _KindRecords:
         self._capacity = 0
 
     def append(
-        self, record_id: int, key_text: str, payload: dict[str, Any], values: Any
+        self, record_id: int, key_text: str, payload: dict[str, Any], values: Any,
+        cells: Any = slice(None),
     ) -> MemoryRecord:
-        """Copy ``values`` into the next free column and append a record viewing it."""
+        """Copy ``values`` into the ``cells`` of the next free column, which
+        are all of it by default, and append a record viewing the column.
+        A fresh column is all zeros: blocks are made by ``np.zeros`` and
+        their columns are never reused."""
         count = len(self.records)
         if count == self._capacity:
             size = (min(2 * self.blocks[-1].shape[1], _MAX_BLOCK_COLUMNS)
@@ -266,10 +282,10 @@ class _KindRecords:
             self._capacity += size
         block = self.blocks[-1]
         column = block[:, count - (self._capacity - block.shape[1])]
-        column[...] = values
+        column[cells] = values
         column.flags.writeable = False
         record = MemoryRecord(record_id, self.kind, key_text,
-                              Embedding._of_column(column), payload)
+                              Embedding._wrap(column), payload)
         self.records.append(record)
         return record
 
@@ -293,29 +309,70 @@ def _filled(blocks: list[np.ndarray], count: int) -> Iterator[np.ndarray]:
 
 # -- snapshot text ---------------------------------------------------------------
 #
-# ``json.dumps`` with ``indent`` falls back to the pure-Python encoder, which
-# takes an embedding's floats one by one. ``save`` renders the same text, byte
-# for byte, from each record's parts instead: an embedding is mostly
-# ``0.0``, so only its other cells go through ``repr``; a payload's objects,
-# arrays and strings are laid out directly at the record's depth, and any
-# other value is dumped on its own with its lines shifted to that depth, which
-# is safe because JSON text never has a raw newline inside a string.
+# A version 2 snapshot stores each embedding as the ``[index, value]`` pairs
+# of its cells with a set bit, in ascending index order: +0.0 is the only
+# float with no bit set, so -0.0 keeps its sign, and every value is written by
+# ``repr``, so a round trip is bit-exact. Version 1 snapshots, with no
+# ``"version"`` key, stored every cell as a dense list; ``load`` still reads
+# them.
+#
+# ``json.dumps`` with ``indent`` falls back to the pure-Python encoder.
+# ``save`` renders the same text, byte for byte, from each record's parts
+# instead: a payload's objects, arrays and strings are laid out directly at
+# the record's depth, and any other value is dumped on its own with its lines
+# shifted to that depth, which is safe because JSON text never has a raw
+# newline inside a string.
 
+_SNAPSHOT_VERSION = 2
 _KIND_JSON = {kind: json.dumps(kind.value) for kind in RecordKind}
-_EMBEDDING_SEPARATOR = ",\n" + " " * 8
 _PAYLOAD_NEWLINE = "\n" + " " * 6
 _encode_string = json.encoder.encode_basestring
 
 
+def _set_cells(values: np.ndarray) -> tuple[list[int], list[float]]:
+    """The indices and values of the cells of ``values`` with a set bit."""
+    indices = np.flatnonzero(values.view(np.int64))
+    return indices.tolist(), values[indices].tolist()
+
+
 def _embedding_json(values: np.ndarray) -> str:
-    cells = ["0.0"] * len(values)
-    if not cells:
+    indices, cells = _set_cells(values)
+    if not indices:
         return "[]"
-    # +0.0 is the only float with no bit set, so -0.0 keeps its sign
-    set_bits = np.flatnonzero(values.view(np.int64))
-    for i, value in zip(set_bits.tolist(), values[set_bits].tolist()):
-        cells[i] = repr(value)
-    return "[\n        " + _EMBEDDING_SEPARATOR.join(cells) + "\n      ]"
+    # a token-hash embedding repeats few values; equal floats have equal
+    # reprs, as the only zero among set cells is -0.0
+    reprs = {value: repr(value) for value in set(cells)}
+    pairs = [f"{i},\n          {reprs[value]}" for i, value in zip(indices, cells)]
+    return ("[\n        [\n          " + "\n        ],\n        [\n          ".join(pairs)
+            + "\n        ]\n      ]")
+
+
+def _sparse_cells(pairs: Any, dimension: int, record_id: Any) -> tuple[list[int], list[Any]]:
+    """Split a version 2 embedding into its indices and values.
+
+    Raises DimensionMismatch for an index outside ``[0, dimension)`` and
+    ValueError for any other fault of form or order. Norms are checked later,
+    for a whole block at once.
+    """
+    if not isinstance(pairs, list):
+        raise ValueError(f"record {record_id}: an embedding is a list of [index, value] pairs")
+    indices, values = [], []
+    last = -1
+    for pair in pairs:
+        # type(...) is int, not isinstance: a bool is no index
+        if (type(pair) is not list or len(pair) != 2 or type(pair[0]) is not int
+                or type(pair[1]) not in (float, int)):
+            raise ValueError(f"record {record_id}: {pair!r} is not an [index, value] pair")
+        index, value = pair
+        if not 0 <= index < dimension:
+            raise DimensionMismatch(
+                f"record {record_id}: index {index} is outside dimension {dimension}")
+        if index <= last:
+            raise ValueError(f"record {record_id}: indices must be strictly ascending")
+        last = index
+        indices.append(index)
+        values.append(value)
+    return indices, values
 
 
 def _payload_json(value: Any, newline: str) -> str:
@@ -327,14 +384,17 @@ def _payload_json(value: Any, newline: str) -> str:
         if not value:
             return "{}"
         inner = newline + "  "
-        items = (f"{_encode_string(key)}: {_payload_json(item, inner)}"
-                 for key, item in value.items())
+        # string leaves, the most common value, are encoded without a call
+        items = [f"{_encode_string(key)}: "
+                 f"{_encode_string(item) if type(item) is str else _payload_json(item, inner)}"
+                 for key, item in value.items()]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = newline + "  "
-        items = (_payload_json(item, inner) for item in value)
+        items = [_encode_string(item) if type(item) is str else _payload_json(item, inner)
+                 for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(value, bool):  # before int, of which bool is a subclass
         return "true" if value else "false"
@@ -350,7 +410,7 @@ def _record_json(record: MemoryRecord) -> str:
         "    {\n"
         f'      "id": {record.record_id},\n'
         f'      "kind": {_KIND_JSON[record.kind]},\n'
-        f'      "key_text": {json.dumps(record.key_text, ensure_ascii=False)},\n'
+        f'      "key_text": {_payload_json(record.key_text, _PAYLOAD_NEWLINE)},\n'
         f'      "embedding": {_embedding_json(record.embedding.values)},\n'
         f'      "payload": {payload}\n'
         "    }"
@@ -358,7 +418,8 @@ def _record_json(record: MemoryRecord) -> str:
 
 
 def _snapshot_text(dimension: int, records: list[MemoryRecord]) -> str:
-    head = f'{{\n  "dimension": {json.dumps(dimension)},\n  "records": '
+    head = (f'{{\n  "version": {_SNAPSHOT_VERSION},\n'
+            f'  "dimension": {json.dumps(dimension)},\n  "records": ')
     if not records:
         return head + "[]\n}\n"
     return head + "[\n" + ",\n".join(map(_record_json, records)) + "\n  ]\n}\n"
@@ -429,6 +490,10 @@ class ExperienceMemory:
         # faster than slicing them first; the scores of columns past
         # ``count``, which ``store`` may be filling meanwhile, are cut
         coordinates = np.flatnonzero(query.values)
+        if not coordinates.size:
+            # every cosine with the zero vector is exactly 0: the earliest
+            # record is the best, with no score to compute
+            return (kind_records.records[0], 0.0) if threshold <= 0 else None
         values = query.values[coordinates]
         scores = np.concatenate(
             [values @ block.take(coordinates, axis=0) for block in blocks])[:count]
@@ -462,13 +527,14 @@ class ExperienceMemory:
 
     def to_dict(self) -> dict[str, Any]:
         return {
+            "version": _SNAPSHOT_VERSION,
             "dimension": self.dimension,
             "records": [
                 {
                     "id": r.record_id,
                     "kind": r.kind.value,
                     "key_text": r.key_text,
-                    "embedding": r.embedding.values.tolist(),
+                    "embedding": [[i, v] for i, v in zip(*_set_cells(r.embedding.values))],
                     "payload": r.payload,
                 }
                 for r in self.records()
@@ -491,9 +557,13 @@ class ExperienceMemory:
         embedder: LocalDeterministicEmbedder | ExternalApiEmbedder | None = None,
         thresholds: dict[RecordKind, float] | None = None,
     ) -> "ExperienceMemory":
-        """Read a snapshot written by ``save``, validating every record."""
+        """Read a snapshot written by ``save``, or a version 1 snapshot,
+        validating every record."""
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        version = doc.get("version", 1)
+        if type(version) is not int or version not in (1, _SNAPSHOT_VERSION):
+            raise ValueError(f"unknown snapshot version {version!r}")
         store = cls(embedder=embedder, thresholds=thresholds)
         if doc["dimension"] != store.dimension:
             raise DimensionMismatch(
@@ -503,13 +573,17 @@ class ExperienceMemory:
             kind = RecordKind(raw["kind"])
             _check_payload(kind, raw["payload"])
             embedding = raw["embedding"]
-            if not isinstance(embedding, list) or len(embedding) != store.dimension:
-                raise DimensionMismatch(
-                    f"record {raw['id']} lacks an embedding of dimension {store.dimension}"
-                )
+            if version == 1:
+                if not isinstance(embedding, list) or len(embedding) != store.dimension:
+                    raise DimensionMismatch(
+                        f"record {raw['id']} lacks an embedding of dimension {store.dimension}"
+                    )
+                cells = slice(None)
+            else:
+                cells, embedding = _sparse_cells(embedding, store.dimension, raw["id"])
             # parsed straight into the blocks, with no Embedding copy in between
             record = store._kinds[kind].append(
-                int(raw["id"]), raw["key_text"], raw["payload"], embedding
+                int(raw["id"]), raw["key_text"], raw["payload"], embedding, cells
             )
             if record.record_id in store._by_id:
                 raise ValueError(f"snapshot has more than one record with id {record.record_id}")

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ice.errors import DimensionMismatch, PayloadKindMismatch, UnknownRecord
@@ -60,6 +60,24 @@ def test_embedding_constructor_enforces_norm_invariant():
         Embedding([float("nan"), 0.0])
     Embedding([0.0, 0.0])  # zero vector allowed
     Embedding([0.6, 0.8])  # unit vector allowed
+
+
+def test_from_raw_scales_once_and_rejects_non_finite_norms():
+    rng = np.random.default_rng(5)
+    for raw in [rng.standard_normal(256), np.arange(37.0), [0.0, 3.0, 4.0], [3e-150, -4e-150]]:
+        arr = np.asarray(raw, dtype=np.float64)
+        embedding = Embedding.from_raw(raw)
+        # the bits of dividing by the norm once, and a read-only result
+        assert embedding.values.tobytes() == (arr / np.linalg.norm(arr)).tobytes()
+        assert embedding.values.flags.writeable is False
+    for raw in ([0.0, -0.0], [1e-200, -2e-200]):  # the second's squares underflow to 0
+        assert Embedding.from_raw(raw).values.tobytes() == np.zeros(2).tobytes()
+    # NaN, inf, an overflowing norm, and squares that underflowed only in part
+    for raw in ([float("nan"), 1.0], [float("inf"), 0.0], [1e200, 1e200], [1e-160, 1e-160]):
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            Embedding.from_raw(raw)
+    with pytest.raises(ValueError):
+        Embedding.from_raw([[0.6, 0.8]])
 
 
 def test_cosine_properties():
@@ -272,7 +290,12 @@ def unit_vectors(draw, dimension):
                                              max_size=12)).items():
             raw[i] = value
     norm = float(np.linalg.norm(raw))
-    return raw / norm if norm else raw
+    if not norm:
+        return raw
+    # cells so small that their squares lose bits (a lone 1e-160) scale to a
+    # row that is not unit, which Embedding rightly rejects
+    assume(abs(float(np.linalg.norm(raw / norm)) - 1.0) <= 1e-9)
+    return raw / norm
 
 
 @st.composite
@@ -308,6 +331,45 @@ def test_save_writes_the_indented_json_of_to_dict(tmp_path_factory, contents):
             before.record_id, before.kind, before.key_text, before.payload)
         # bit patterns, so a lost sign on -0.0 fails too
         assert after.embedding.values.tobytes() == before.embedding.values.tobytes()
+
+
+@given(contents=snapshot_contents())
+@example(contents=(256, []))
+@settings(max_examples=60, deadline=None)
+def test_a_version_1_snapshot_loads_like_its_version_2_save(tmp_path_factory, contents):
+    dimension, records = contents
+    memory = ExperienceMemory(embedder=QueueEmbedder(dimension, [r[3] for r in records]))
+    for kind, key_text, payload, _ in records:
+        memory.store(kind, key_text, payload)
+    folder = tmp_path_factory.mktemp("snapshots")
+    v2_path, v1_path, resaved_path = (folder / name for name in ("v2.json", "v1.json", "re.json"))
+    memory.save(str(v2_path))
+    # the version 1 layout: no "version" key, every cell of every embedding
+    v1 = {"dimension": dimension, "records": [
+        {"id": r.record_id, "kind": r.kind.value, "key_text": r.key_text,
+         "embedding": r.embedding.values.tolist(), "payload": r.payload}
+        for r in memory.records()]}
+    v1_path.write_text(json.dumps(v1, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+
+    from_v1 = ExperienceMemory.load(str(v1_path), embedder=QueueEmbedder(dimension))
+    from_v2 = ExperienceMemory.load(str(v2_path), embedder=QueueEmbedder(dimension))
+    assert len(from_v1) == len(from_v2) == len(records)
+    for a, b in zip(from_v1.records(), from_v2.records()):
+        assert (a.record_id, a.kind, a.key_text, a.payload) == (
+            b.record_id, b.kind, b.key_text, b.payload)
+        assert a.embedding.values.tobytes() == b.embedding.values.tobytes()
+    from_v1.save(str(resaved_path))
+    assert resaved_path.read_bytes() == v2_path.read_bytes()
+
+
+def test_save_of_a_key_text_that_is_not_a_string_is_the_indented_json_of_to_dict(tmp_path):
+    # a hand-written snapshot may load one
+    memory = ExperienceMemory(embedder=QueueEmbedder(2, [np.array([0.0, 1.0])]))
+    memory.store(RecordKind.WORKFLOW, ["a", {"b": None}], {"entries": []})
+    path = tmp_path / "memory.json"
+    memory.save(str(path))
+    expected = json.dumps(memory.to_dict(), indent=2, ensure_ascii=False) + "\n"
+    assert path.read_text(encoding="utf-8") == expected
 
 
 def test_save_of_a_lone_surrogate_raises_and_keeps_the_old_snapshot(tmp_path):
@@ -353,6 +415,45 @@ def test_store_after_loading_ids_with_a_gap_assigns_a_new_id(tmp_path):
 ], ids=["duplicate-id", "payload-of-other-kind", "short-embedding", "not-unit", "nan"])
 def test_load_rejects_a_bad_snapshot(tmp_path, records, error):
     path = _write_snapshot(tmp_path, records)
+    with pytest.raises(error):
+        ExperienceMemory.load(path, embedder=LocalDeterministicEmbedder(dimension=4))
+
+
+def _write_v2_snapshot(tmp_path, embeddings, version=2, dimension=4):
+    """One workflow record per embedding, given as its [index, value] pairs."""
+    path = tmp_path / "memory.json"
+    path.write_text(json.dumps({"version": version, "dimension": dimension, "records": [
+        {"id": i, "kind": "workflow", "key_text": f"key {i}", "embedding": pairs,
+         "payload": WORKFLOW_PAYLOAD}
+        for i, pairs in enumerate(embeddings, start=1)]}))
+    return str(path)
+
+
+def test_load_reads_version_2_pairs(tmp_path):
+    path = _write_v2_snapshot(tmp_path, [[[1, 0.6], [3, -0.8]], [], [[0, -0.0], [2, 1.0]]])
+    memory = ExperienceMemory.load(path, embedder=LocalDeterministicEmbedder(dimension=4))
+    rows = [r.embedding.values.tolist() for r in memory.records()]
+    assert rows == [[0.0, 0.6, 0.0, -0.8], [0.0] * 4, [-0.0, 0.0, 1.0, 0.0]]
+    assert np.signbit(memory.records()[2].embedding.values[0])
+
+
+@pytest.mark.parametrize("embedding, version, error", [
+    ([[4, 1.0]], 2, DimensionMismatch),
+    ([[-1, 1.0]], 2, DimensionMismatch),
+    ([[1, 1.0], [1, 1.0]], 2, ValueError),
+    ([[2, 0.6], [1, 0.8]], 2, ValueError),
+    ([[1.0, 1.0]], 2, ValueError),
+    ([[True, 1.0]], 2, ValueError),
+    ([[0, 1.0, 0.0]], 2, ValueError),
+    ([[0, "1.0"]], 2, ValueError),
+    ([[0, 1.0]], 3, ValueError),
+    ([[0, 3.0], [1, 4.0]], 2, ValueError),
+    ([[0, float("nan")]], 2, ValueError),
+], ids=["index-past-dimension", "negative-index", "repeated-index", "descending-indices",
+        "float-index", "bool-index", "three-element-pair", "string-value", "version-3",
+        "not-unit", "nan"])
+def test_load_rejects_a_bad_version_2_snapshot(tmp_path, embedding, version, error):
+    path = _write_v2_snapshot(tmp_path, [[[0, 1.0]], embedding], version=version)
     with pytest.raises(error):
         ExperienceMemory.load(path, embedder=LocalDeterministicEmbedder(dimension=4))
 

@@ -130,6 +130,32 @@ def test_retrieval_makes_no_per_record_cosine_calls(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_zero_query_is_answered_without_cosine_calls(monkeypatch):
+    embedder = DenseEmbedder(256)
+    memory = ExperienceMemory(embedder=embedder)
+    stored = []
+    for i in range(5000):
+        key = f"record {i}" if i % 7 else ""  # some stored embeddings are zero too
+        record_id = memory.store(RecordKind.WORKFLOW, key, PAYLOADS[RecordKind.WORKFLOW])
+        stored.append((record_id, RecordKind.WORKFLOW, embedder.embed(key)))
+    thresholds = [-1.0, -5e-324, 0.0, 5e-324, 1e-12, 1e-9, 0.85]
+    expected = [linear_scan(stored, RecordKind.WORKFLOW, embedder.embed(""), threshold)
+                for threshold in thresholds]
+    calls = []
+    cosine = Embedding.cosine
+
+    def counted(self, other):
+        calls.append(other)
+        return cosine(self, other)
+
+    monkeypatch.setattr(Embedding, "cosine", counted)
+    got = [as_pair(memory.retrieve(RecordKind.WORKFLOW, " ", threshold=threshold))
+           for threshold in thresholds]
+    assert got == expected
+    assert got[2] == (1, 0.0) and got[3] is None
+    assert calls == []
+
+
 def test_stored_embeddings_score_like_fresh_ones_bit_for_bit():
     embedder = DenseEmbedder(256)
     memory = ExperienceMemory(embedder=embedder)
