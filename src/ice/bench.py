@@ -20,12 +20,12 @@ Metrics follow the same definitions everywhere:
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
 from .engine import (
+    DEFAULT_RETRIEVAL_THRESHOLD,
     ExecutionMethod,
     RunConfig,
     RunMode,
@@ -36,7 +36,6 @@ from .engine import (
 from .errors import ArmFailed, IceError
 from .llm import (
     CallTag,
-    CompletionRequest,
     HttpChatBackend,
     LlmBackend,
     ScriptedBackend,
@@ -104,11 +103,9 @@ class BenchSpec:
     test_tasks: list[Path]
     arms: list[ArmSpec]
     backend: str
-    seed: int = 0
-    pipeline_threshold: float = 0.85
-    workflow_threshold: float = 0.85
+    pipeline_threshold: float = DEFAULT_RETRIEVAL_THRESHOLD
+    workflow_threshold: float = DEFAULT_RETRIEVAL_THRESHOLD
     max_react_steps: int = 8
-    parallel: bool = False  # run each arm's test tasks concurrently
     base_dir: Path | None = None  # scripted scenario paths resolve against this
 
     def __post_init__(self) -> None:
@@ -135,11 +132,9 @@ class BenchSpec:
                 for a in doc["arms"]
             ],
             backend=doc["backend"],
-            seed=int(doc.get("seed", 0)),
-            pipeline_threshold=float(doc.get("pipeline_threshold", 0.85)),
-            workflow_threshold=float(doc.get("workflow_threshold", 0.85)),
+            pipeline_threshold=float(doc.get("pipeline_threshold", DEFAULT_RETRIEVAL_THRESHOLD)),
+            workflow_threshold=float(doc.get("workflow_threshold", DEFAULT_RETRIEVAL_THRESHOLD)),
             max_react_steps=int(doc.get("max_react_steps", 8)),
-            parallel=bool(doc.get("parallel", False)),
             base_dir=base,
         )
 
@@ -177,13 +172,11 @@ class ArmResult:
 
 @dataclass
 class BenchResult:
-    seed: int
     arms: list[ArmResult]
     failures: list[dict[str, str]] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "seed": self.seed,
             "arms": [a.to_dict() for a in self.arms],
             "failures": self.failures,
         }
@@ -215,21 +208,6 @@ def compute_metrics(
     )
 
 
-class _CountingHandle(LlmBackend):
-    """Per-task view of a shared backend.
-
-    The handle's own counters see only this task's calls, so per-task report
-    deltas stay exact even when tasks run concurrently; the shared backend
-    keeps counting the arm-wide totals."""
-
-    def __init__(self, inner: LlmBackend) -> None:
-        super().__init__()
-        self._inner = inner
-
-    def _complete(self, request: CompletionRequest) -> str:
-        return self._inner.complete(request)
-
-
 def build_backend(spec: str, base_dir: Path | None = None) -> LlmBackend:
     """Backend selector for CLI strings: ``scripted:<file>`` or ``http``."""
     if spec.startswith("scripted:"):
@@ -248,8 +226,8 @@ def run_training(
     backend: LlmBackend,
     config: RunConfig,
 ) -> list[TaskRunReport]:
-    """Run tasks in train mode, collecting per-task reports; failures are
-    recorded per task and do not stop the run."""
+    """Run tasks in train mode, collecting per-task reports. An error in
+    any task propagates and ends the run."""
     reports = []
     for path in task_paths:
         task = TaskSpec.from_file(path)
@@ -271,23 +249,13 @@ def run_arm(spec: BenchSpec, arm: ArmSpec) -> ArmResult:
     backend = build_backend(arm.backend or spec.backend, base_dir=spec.base_dir)
     memory = ExperienceMemory()
     train_config = RunConfig(
-        planning_ice=False,
-        execution_ice=False,
         mode=RunMode.TRAIN,
         pipeline_threshold=spec.pipeline_threshold,
         workflow_threshold=spec.workflow_threshold,
         max_react_steps=spec.max_react_steps,
-        seed=spec.seed,
     )
-    test_config = RunConfig(
-        planning_ice=arm.planning_ice,
-        execution_ice=arm.execution_ice,
-        mode=RunMode.EXPLOIT,
-        pipeline_threshold=spec.pipeline_threshold,
-        workflow_threshold=spec.workflow_threshold,
-        max_react_steps=spec.max_react_steps,
-        seed=spec.seed,
-    )
+    test_config = replace(train_config, planning_ice=arm.planning_ice,
+                          execution_ice=arm.execution_ice, mode=RunMode.EXPLOIT)
 
     if arm.uses_ice:
         limit = arm.train_limit if arm.train_limit is not None else len(spec.train_tasks)
@@ -297,19 +265,8 @@ def run_arm(spec: BenchSpec, arm: ArmSpec) -> ArmResult:
     train_reports = run_training(train_paths, memory, backend, train_config)
 
     backend.reset_counters()
-
-    def run_test(path: Path) -> TaskRunReport:
-        # a fresh handle per task keeps the report's counters exact
-        return run_task(TaskSpec.from_file(path), memory,
-                        _CountingHandle(backend), test_config)
-
-    if spec.parallel and len(spec.test_tasks) > 1:
-        # deterministic as long as the scenario rules consumed here are
-        # use-unlimited; reports keep the spec's task order
-        with ThreadPoolExecutor(max_workers=min(4, len(spec.test_tasks))) as pool:
-            test_reports = list(pool.map(run_test, spec.test_tasks))
-    else:
-        test_reports = [run_test(path) for path in spec.test_tasks]
+    test_reports = [run_task(TaskSpec.from_file(path), memory, backend, test_config)
+                    for path in spec.test_tasks]
 
     metrics = compute_metrics(test_reports, include_reutilization=arm.execution_ice)
     # the backend's own totals must agree with the summed per-task deltas
@@ -333,7 +290,7 @@ def run_arm(spec: BenchSpec, arm: ArmSpec) -> ArmResult:
 
 def run_bench(spec: BenchSpec) -> BenchResult:
     """Run every arm; a failing arm is recorded and the rest still run."""
-    result = BenchResult(seed=spec.seed, arms=[])
+    result = BenchResult(arms=[])
     for arm in spec.arms:
         try:
             result.arms.append(run_arm(spec, arm))

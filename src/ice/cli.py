@@ -19,7 +19,7 @@ from .bench import (
     run_bench,
 )
 from .consolidate import consolidate_pipeline
-from .engine import RunConfig, RunMode, TaskSpec, run_task
+from .engine import DEFAULT_RETRIEVAL_THRESHOLD, RunConfig, RunMode, TaskSpec, run_task
 from .errors import (
     ArmFailed,
     BackendError,
@@ -47,10 +47,11 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                         default=False)
     parser.add_argument("--execution-ice", action=argparse.BooleanOptionalAction,
                         default=False)
-    parser.add_argument("--threshold-pipeline", type=float, default=0.85)
-    parser.add_argument("--threshold-workflow", type=float, default=0.85)
+    parser.add_argument("--threshold-pipeline", type=float,
+                        default=DEFAULT_RETRIEVAL_THRESHOLD)
+    parser.add_argument("--threshold-workflow", type=float,
+                        default=DEFAULT_RETRIEVAL_THRESHOLD)
     parser.add_argument("--max-react-steps", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", help="output path")
 
 
@@ -71,9 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run a benchmark spec over its arms")
     p_bench.add_argument("--config", required=True, help="bench spec JSON file")
-    p_bench.add_argument("--seed", type=int, help="override the spec seed")
-    p_bench.add_argument("--parallel", action="store_true",
-                         help="run each arm's test tasks concurrently")
     p_bench.add_argument("--out", help="output directory for reports and snapshots")
 
     p_cons = sub.add_parser("consolidate",
@@ -101,7 +99,6 @@ def _run_config(args: argparse.Namespace, mode: RunMode) -> RunConfig:
         pipeline_threshold=args.threshold_pipeline,
         workflow_threshold=args.threshold_workflow,
         max_react_steps=args.max_react_steps,
-        seed=args.seed,
     )
 
 
@@ -161,12 +158,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    spec = BenchSpec.from_file(args.config)
-    if args.seed is not None:
-        spec.seed = args.seed
-    if args.parallel:
-        spec.parallel = True
-    result = run_bench(spec)
+    result = run_bench(BenchSpec.from_file(args.config))
     table = format_table(result)
     print(table, end="")
     if args.out:

@@ -26,9 +26,15 @@ from .consolidate import (
     extract_json_document,
     workflow_to_dict,
 )
-from .env import SimulatedEnvironment, build_environment, evaluate_milestones
+from .env import (
+    SimulatedEnvironment,
+    build_environment,
+    evaluate_milestones,
+    parse_predicate,
+)
 from .errors import (
     BackendError,
+    BadPredicate,
     IceError,
     InvalidGoal,
     PipelineRunFailed,
@@ -71,6 +77,7 @@ __all__ = [
     "TaskRunReport",
     "TaskRunner",
     "run_task",
+    "DEFAULT_RETRIEVAL_THRESHOLD",
     "MAX_RECTIFICATIONS_PER_GOAL",
 ]
 
@@ -94,17 +101,19 @@ class ExecutionMethod(str, Enum):
     REACT = "react"
 
 
+#: Cosine similarity a stored record must reach to be reused.
+DEFAULT_RETRIEVAL_THRESHOLD = 0.85
+
+
 @dataclass
 class RunConfig:
     planning_ice: bool = False
     execution_ice: bool = False
     mode: RunMode = RunMode.EXPLOIT
-    pipeline_threshold: float = 0.85
-    workflow_threshold: float = 0.85
+    pipeline_threshold: float = DEFAULT_RETRIEVAL_THRESHOLD
+    workflow_threshold: float = DEFAULT_RETRIEVAL_THRESHOLD
     max_react_steps: int = 8
     repair_limit: int = 3
-    seed: int = 0
-    workflow_for_rectified_failures: bool = False
 
     def __post_init__(self) -> None:
         for name in ("pipeline_threshold", "workflow_threshold"):
@@ -217,11 +226,6 @@ PIPELINE_CHOICE_SYSTEM = (
     "offered edge."
 )
 
-MILESTONE_SYSTEM = (
-    "Judge whether every milestone of the subgoal holds given the recorded tool "
-    "outputs. Reply with yes or no."
-)
-
 
 def _render_workflow_reference(title: str, hit: tuple[MemoryRecord, float]) -> str:
     record, _ = hit
@@ -275,6 +279,11 @@ def _parse_subgoals(items: list[Any]) -> list[tuple[str, list[str]]]:
             not isinstance(m, str) for m in milestones
         ):
             raise ValueError("milestones must be a list of strings")
+        for milestone in milestones:
+            try:
+                parse_predicate(milestone)
+            except BadPredicate as exc:
+                raise ValueError(str(exc)) from exc
         parsed.append((item["description"], list(milestones)))
     return parsed
 
@@ -484,22 +493,6 @@ class TaskRunner:
         override = self.task.milestones.get(goal.description)
         return list(override) if override is not None else list(goal.milestones)
 
-    def _milestones_hold(self, goal: Goal, traj: Trajectory) -> bool:
-        milestones = self._goal_milestones(goal)
-        if self.environment is not None:
-            return evaluate_milestones(milestones, self.environment)
-        # live mode: one backend call, never counted as tool handling
-        outputs = "\n".join(s.tool_output for s in traj.steps) or "none"
-        user = (
-            f"Subgoal: {goal.description}\n"
-            f"Milestones: {'; '.join(milestones) or 'none'}\n"
-            f"Outputs:\n{outputs}"
-        )
-        reply = self.backend.complete(
-            CompletionRequest(MILESTONE_SYSTEM, (Message(Role.USER, user),), CallTag.OTHER)
-        )
-        return reply.strip().lower().startswith("yes")
-
     # -- execution ------------------------------------------------------------
 
     def handle_subgoal(self, goal: Goal) -> SubgoalOutcome:
@@ -565,7 +558,9 @@ class TaskRunner:
                     outcome=outcome,
                 )
             )
-        ok = terminated and self._milestones_hold(goal, traj)
+        ok = terminated and evaluate_milestones(
+            self._goal_milestones(goal), self.environment
+        )
         traj.finalize(TrajectoryStatus.SUCCESS if ok else TrajectoryStatus.FAILURE)
         return traj
 
@@ -591,7 +586,7 @@ class TaskRunner:
         incoming: tuple[str, ...] = ()
         for _ in range(len(pipeline.nodes) + len(pipeline.edges) + 1):
             if current.node_type is NodeType.END:
-                ok = self._milestones_hold(goal, traj)
+                ok = evaluate_milestones(self._goal_milestones(goal), self.environment)
                 traj.finalize(
                     TrajectoryStatus.SUCCESS if ok else TrajectoryStatus.FAILURE
                 )
@@ -816,10 +811,7 @@ class TaskRunner:
                 pipeline_key(goal.description, self._goal_milestones(goal)),
                 pipeline_to_dict(automaton),
             )
-        for workflow in consolidate_workflows(
-            self.tree,
-            workflow_for_rectified_failures=self.config.workflow_for_rectified_failures,
-        ):
+        for workflow in consolidate_workflows(self.tree):
             if workflow.entries:
                 self.memory.store(
                     RecordKind.WORKFLOW,

@@ -297,7 +297,7 @@ def build_environment(
     """Build an environment from a task file's env_setup section.
 
     Entries either register a dataset (inline ``records`` or a ``fixture``
-    file resolved relative to ``base_dir``) or seed a file:
+    file resolved relative to ``base_dir``) or create a file:
 
         {"dataset": "products", "records": {...}}
         {"dataset": "documents", "fixture": "fixtures/docs.json"}

@@ -1,8 +1,8 @@
 """Embedding-keyed experience store.
 
 Workflows and pipelines are stored under text keys; retrieval embeds the
-query and returns the best record by cosine similarity when it clears a
-per-kind threshold.
+query and returns the best record by cosine similarity when it clears the
+threshold the caller passes.
 
 Each kind keeps its records in store order and their embeddings as float64
 columns of column-major blocks, ``(dimension, n)`` with n = 16, 32, 64, ... up
@@ -45,17 +45,13 @@ __all__ = [
     "Embedding",
     "LocalDeterministicEmbedder",
     "ExternalApiEmbedder",
-    "EmbedderProvider",
-    "EmbedderSpec",
     "MemoryRecord",
     "MemoryStats",
     "ExperienceMemory",
     "workflow_key",
     "pipeline_key",
-    "DEFAULT_RETRIEVAL_THRESHOLD",
 ]
 
-DEFAULT_RETRIEVAL_THRESHOLD = 0.85
 DEFAULT_DIMENSION = 256
 
 _UNIT_TOLERANCE = 1e-9
@@ -184,27 +180,6 @@ class ExternalApiEmbedder:
                 f"provider returned dimension {embedding.dimension}, expected {self.dimension}"
             )
         return embedding
-
-
-class EmbedderProvider(str, Enum):
-    LOCAL_DETERMINISTIC = "local_deterministic"
-    EXTERNAL_API = "external_api"
-
-
-@dataclass(frozen=True)
-class EmbedderSpec:
-    provider: EmbedderProvider = EmbedderProvider.LOCAL_DETERMINISTIC
-    dimension: int = DEFAULT_DIMENSION
-    endpoint: str = ""
-    model: str = ""
-    api_key: str = ""
-
-    def build(self) -> LocalDeterministicEmbedder | ExternalApiEmbedder:
-        if self.provider is EmbedderProvider.LOCAL_DETERMINISTIC:
-            return LocalDeterministicEmbedder(self.dimension)
-        return ExternalApiEmbedder(
-            self.endpoint, self.model, self.api_key, self.dimension
-        )
 
 
 @dataclass(frozen=True)
@@ -431,7 +406,6 @@ class ExperienceMemory:
     def __init__(
         self,
         embedder: LocalDeterministicEmbedder | ExternalApiEmbedder | None = None,
-        thresholds: dict[RecordKind, float] | None = None,
     ) -> None:
         self._embedder = embedder or LocalDeterministicEmbedder()
         self._records: list[MemoryRecord] = []
@@ -439,16 +413,11 @@ class ExperienceMemory:
         self._kinds = {kind: _KindRecords(kind, self.dimension) for kind in RecordKind}
         self._next_id = 1
         self._lock = threading.Lock()
-        self._thresholds = {kind: DEFAULT_RETRIEVAL_THRESHOLD for kind in RecordKind}
-        self._thresholds.update(thresholds or {})
         self.stats = MemoryStats()
 
     @property
     def dimension(self) -> int:
         return self._embedder.dimension
-
-    def threshold(self, kind: RecordKind) -> float:
-        return self._thresholds[kind]
 
     def embed(self, text: str) -> Embedding:
         return self._embedder.embed(text)
@@ -469,15 +438,13 @@ class ExperienceMemory:
         return record.record_id
 
     def retrieve(
-        self, kind: RecordKind, query_text: str, threshold: float | None = None
+        self, kind: RecordKind, query_text: str, threshold: float
     ) -> tuple[MemoryRecord, float] | None:
         """Best record of ``kind`` by cosine similarity, if it clears the threshold.
 
         Ties keep the earliest-stored record, so results do not depend on
         insertion order beyond first-come precedence.
         """
-        if threshold is None:
-            threshold = self._thresholds[kind]
         kind_records = self._kinds[kind]
         with self._lock:
             count, blocks = len(kind_records.records), list(kind_records.blocks)
@@ -555,7 +522,6 @@ class ExperienceMemory:
         cls,
         path: str,
         embedder: LocalDeterministicEmbedder | ExternalApiEmbedder | None = None,
-        thresholds: dict[RecordKind, float] | None = None,
     ) -> "ExperienceMemory":
         """Read a snapshot written by ``save``, or a version 1 snapshot,
         validating every record."""
@@ -564,7 +530,7 @@ class ExperienceMemory:
         version = doc.get("version", 1)
         if type(version) is not int or version not in (1, _SNAPSHOT_VERSION):
             raise ValueError(f"unknown snapshot version {version!r}")
-        store = cls(embedder=embedder, thresholds=thresholds)
+        store = cls(embedder=embedder)
         if doc["dimension"] != store.dimension:
             raise DimensionMismatch(
                 f"snapshot dimension {doc['dimension']} != embedder dimension {store.dimension}"

@@ -270,7 +270,6 @@ def build_fixture(t) -> list[str]:
 def build_bench_spec() -> dict[str, Any]:
     return {
         "backend": "scripted:scenario.json",
-        "seed": 0,
         "train_tasks": [f"tasks/train_{_slug(t)}.json" for t in TOPICS],
         "test_tasks": [f"tasks/test_{_slug(t)}.json" for t in TOPICS],
         "arms": ARMS,

@@ -164,21 +164,6 @@ def test_empty_training_list_leaves_memory_empty():
     assert len(memory) == 0
 
 
-def test_parallel_test_phase_matches_sequential_results(suite_result):
-    spec = BenchSpec.from_file(SUITE_DIR / "bench.json")
-    spec.parallel = True
-    parallel = run_bench(spec)
-    assert parallel.failures == []
-    for sequential_arm, parallel_arm in zip(suite_result.arms, parallel.arms):
-        assert parallel_arm.metrics == sequential_arm.metrics
-        assert [r.task_id for r in parallel_arm.test_reports] == [
-            r.task_id for r in sequential_arm.test_reports
-        ]
-        assert [r.to_dict() for r in parallel_arm.test_reports] == [
-            r.to_dict() for r in sequential_arm.test_reports
-        ]
-
-
 def test_failing_arm_is_isolated():
     spec = BenchSpec.from_file(SUITE_DIR / "bench.json")
     spec.arms = [

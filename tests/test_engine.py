@@ -346,6 +346,23 @@ def test_plan_repair_round_recovers():
     assert len(tree.leaves()) == 3
 
 
+def test_unparseable_milestone_is_re_prompted_before_the_run():
+    runner = make_runner([
+        {"match": "Could not apply that reply", "response": {"subgoals": [
+            {"description": "write notes", "milestones": ["file_exists:notes.txt"]}]}},
+        {"match": "Goal:", "response": {"subgoals": [
+            {"description": "write notes", "milestones": ["bogus"]}]}},
+        {"match": "Subgoal: write notes\nCompleted steps: 0",
+         "response": step_reply("FileSystemEnv_write_to_file",
+                                filepath="notes.txt", content="notes")},
+        {"match": "Subgoal: write notes\nCompleted steps: 1", "response": TERMINATE},
+    ])
+    report = runner.run()
+    assert runner.backend.counters.by_tag(CallTag.PLANNING) == 2
+    assert report.plan.find(g("1")).milestones == ["file_exists:notes.txt"]
+    assert [o.success for o in report.outcomes] == [True]
+
+
 # -- rectification -----------------------------------------------------------------
 
 
@@ -448,7 +465,10 @@ def test_rectify_invalid_target_feeds_repair_and_tree_stays_intact():
     {"kind": "split", "target": "2-x", "subgoals": [{"description": "bad"}]},
     {"kind": "split", "target": "2", "subgoals": [
         {"description": "bad", "milestones": "file_exists:a.txt"}]},
-], ids=["action-not-an-object", "malformed-goal-id", "string-milestones"])
+    {"kind": "split", "target": "2", "subgoals": [
+        {"description": "bad", "milestones": ["bogus"]}]},
+], ids=["action-not-an-object", "malformed-goal-id", "string-milestones",
+        "unparseable-milestone"])
 def test_malformed_rectify_reply_is_re_prompted(bad_action):
     runner = failed_leaf_runner([
         {"match": "Could not apply that reply", "response": {"actions": [

@@ -10,10 +10,7 @@ from hypothesis import strategies as st
 
 from ice.errors import DimensionMismatch, PayloadKindMismatch, UnknownRecord
 from ice.memory import (
-    DEFAULT_RETRIEVAL_THRESHOLD,
     Embedding,
-    EmbedderProvider,
-    EmbedderSpec,
     ExperienceMemory,
     LocalDeterministicEmbedder,
     RecordKind,
@@ -91,13 +88,6 @@ def test_cosine_properties():
     assert a.cosine(zero) == 0.0
 
 
-def test_embedder_spec_builds_local_provider():
-    embedder = EmbedderSpec(provider=EmbedderProvider.LOCAL_DETERMINISTIC,
-                            dimension=16).build()
-    assert isinstance(embedder, LocalDeterministicEmbedder)
-    assert embedder.dimension == 16
-
-
 # -- store / retrieve ---------------------------------------------------------------
 
 
@@ -119,13 +109,13 @@ def test_key_construction_contract():
 
 def test_retrieve_from_empty_store_is_none():
     memory = ExperienceMemory()
-    assert memory.retrieve(RecordKind.WORKFLOW, "anything") is None
+    assert memory.retrieve(RecordKind.WORKFLOW, "anything", threshold=0.85) is None
 
 
 def test_retrieve_ignores_other_kinds():
     memory = ExperienceMemory()
     memory.store(RecordKind.WORKFLOW, "shared key", WORKFLOW_PAYLOAD)
-    assert memory.retrieve(RecordKind.PIPELINE, "shared key") is None
+    assert memory.retrieve(RecordKind.PIPELINE, "shared key", threshold=0.85) is None
 
 
 def test_threshold_gate_blocks_weak_matches():
@@ -456,9 +446,3 @@ def test_load_rejects_a_bad_version_2_snapshot(tmp_path, embedding, version, err
     path = _write_v2_snapshot(tmp_path, [[[0, 1.0]], embedding], version=version)
     with pytest.raises(error):
         ExperienceMemory.load(path, embedder=LocalDeterministicEmbedder(dimension=4))
-
-
-def test_default_threshold_is_configurable_per_kind():
-    memory = ExperienceMemory(thresholds={RecordKind.WORKFLOW: 0.2})
-    assert memory.threshold(RecordKind.WORKFLOW) == 0.2
-    assert memory.threshold(RecordKind.PIPELINE) == DEFAULT_RETRIEVAL_THRESHOLD
