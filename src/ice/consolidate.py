@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .errors import ConsolidationFailed, UnfinalizedTree
+from .errors import ConsolidationFailed, PipelineSchemaError, UnfinalizedTree
 from .llm import (
     CallTag,
     CompletionRequest,
@@ -33,7 +33,8 @@ from .pipeline import (
     PipelineNode,
     dumps_pipeline,
     pipeline_from_dict,
-    validate_document,
+    validate_document,  # noqa: F401  perfbench/tracer.py wraps this name
+    validate_pipeline,
 )
 from .plan import Goal, GoalId, GoalStatus, PlanTree
 from .trajectory import Trajectory, TrajectoryStatus
@@ -452,9 +453,15 @@ def consolidate_pipeline(
         except ValueError as exc:
             problems.append(f"reply is not a JSON document: {exc}")
         if doc is not None:
-            problems.extend(v.render() for v in validate_document(doc))
-            if not problems:
+            # one schema check and one parse per reply: the schema error
+            # carries every schema violation, the same list validate_document gives
+            try:
                 automaton = pipeline_from_dict(doc)
+            except PipelineSchemaError as exc:
+                problems.extend(v.render() for v in exc.violations)
+            else:
+                problems.extend(v.render() for v in validate_pipeline(automaton))
+            if not problems:
                 for node in automaton.nodes:
                     if (
                         node.node_type is NodeType.TOOL_SERVER

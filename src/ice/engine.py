@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from .consolidate import (
     consolidate_pipeline,
@@ -38,6 +38,7 @@ from .errors import (
     IceError,
     InvalidGoal,
     PipelineRunFailed,
+    PipelineSchemaError,
     PlanParseError,
     RectifyParseError,
     StepParseError,
@@ -55,6 +56,7 @@ from .memory import (
 from .pipeline import (
     NodeType,
     PipelineAutomaton,
+    Violation,
     pipeline_from_dict,
     pipeline_to_dict,
     validate_pipeline,
@@ -151,13 +153,21 @@ class SubgoalOutcome:
 @dataclass
 class TaskSpec:
     """One task file: an id, the user goal, environment fixtures, and optional
-    per-subgoal milestone overrides keyed by subgoal description."""
+    per-subgoal milestone overrides keyed by subgoal description.
+
+    Every override is parsed when the spec is made, so a bad predicate raises
+    ``BadPredicate`` here rather than when its subgoal is judged."""
 
     task_id: str
     goal: str
     env_setup: list[dict[str, Any]] = field(default_factory=list)
     milestones: dict[str, list[str]] = field(default_factory=dict)
     base_dir: Path | None = None
+
+    def __post_init__(self) -> None:
+        for milestones in self.milestones.values():
+            for milestone in milestones:
+                parse_predicate(milestone)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TaskSpec":
@@ -189,6 +199,33 @@ class TaskRunReport:
             "counters": self.counters,
             "rectifications": self.rectifications,
         }
+
+
+@dataclass(frozen=True)
+class StoredPipeline:
+    """What a stored pipeline record is worth: its automaton when the payload
+    parses and validates, otherwise ``problem`` says why it cannot be walked.
+    Every hit on the record shares the automaton; walking it never changes it."""
+
+    automaton: PipelineAutomaton | None
+    problem: str = ""
+
+
+def _invalid_pipeline(violations: Sequence[Violation]) -> str:
+    return "pipeline is invalid: " + "; ".join(v.render() for v in violations)
+
+
+def _stored_pipeline(payload: dict[str, Any]) -> StoredPipeline:
+    """Parse and validate a stored payload. ``pipeline_from_dict`` and
+    ``validate_pipeline`` are looked up in this module on every call."""
+    try:
+        automaton = pipeline_from_dict(payload)
+    except PipelineSchemaError as exc:
+        return StoredPipeline(None, _invalid_pipeline(exc.violations))
+    violations = validate_pipeline(automaton)
+    if violations:
+        return StoredPipeline(None, _invalid_pipeline(violations))
+    return StoredPipeline(automaton)
 
 
 # -- prompt rendering ----------------------------------------------------------
@@ -499,16 +536,20 @@ class TaskRunner:
         """Serve one leaf: a retrieved pipeline when execution exploitation is
         on and similarity clears the threshold, otherwise a ReACT loop. A
         pipeline that fails mid-run falls back to a fresh ReACT attempt for
-        the whole subgoal; calls from both attempts stay counted."""
+        the whole subgoal; calls from both attempts stay counted. A stored
+        pipeline is parsed and validated once per record, and one that fails
+        either check falls back to ReACT without a backend call."""
         if self.config.execution_ice:
             key = pipeline_key(goal.description, self._goal_milestones(goal))
             hit = self.memory.retrieve(
                 RecordKind.PIPELINE, key, self.config.pipeline_threshold
             )
+            pipeline = None
             if hit is not None:
-                pipeline = pipeline_from_dict(hit[0].payload)
+                pipeline = hit[0].derived("pipeline", _stored_pipeline).automaton
+            if pipeline is not None:
                 try:
-                    traj, ok = self.run_pipeline(pipeline, goal)
+                    traj, ok = self.run_pipeline(pipeline, goal, validated=True)
                     return SubgoalOutcome(
                         goal_id=goal.id,
                         method=ExecutionMethod.PIPELINE,
@@ -565,7 +606,7 @@ class TaskRunner:
         return traj
 
     def run_pipeline(
-        self, pipeline: PipelineAutomaton, goal: Goal
+        self, pipeline: PipelineAutomaton, goal: Goal, *, validated: bool = False
     ) -> tuple[Trajectory, bool]:
         """Walk the automaton from Start.
 
@@ -573,13 +614,14 @@ class TaskRunner:
         arguments (guided by the comments of the edge just taken); leaving a
         node with several outgoing edges costs one backend call to choose an
         edge by name. The walk succeeds when it reaches End; dead ends and
-        exhausted repair budgets raise ``PipelineRunFailed``.
+        exhausted repair budgets raise ``PipelineRunFailed``. Unless
+        ``validated`` says the caller has checked it already, an invalid
+        automaton raises ``PipelineRunFailed`` before any call.
         """
-        violations = validate_pipeline(pipeline)
-        if violations:
-            raise PipelineRunFailed(
-                "pipeline is invalid: " + "; ".join(v.render() for v in violations)
-            )
+        if not validated:
+            violations = validate_pipeline(pipeline)
+            if violations:
+                raise PipelineRunFailed(_invalid_pipeline(violations))
         traj = Trajectory(goal_id=goal.id)
         outputs: list[str] = []
         current = pipeline.start_node()

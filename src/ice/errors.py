@@ -49,7 +49,12 @@ class UnfinalizedTree(IceError):
 
 
 class PipelineSchemaError(IceError):
-    """A pipeline document does not follow the wire schema."""
+    """A pipeline document does not follow the wire schema; ``violations``
+    holds every problem found, and the message renders them."""
+
+    def __init__(self, message: str, violations: tuple = ()) -> None:
+        super().__init__(message)
+        self.violations = violations
 
 
 class ConsolidationFailed(IceError):

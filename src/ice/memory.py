@@ -23,13 +23,14 @@ score computed, when the threshold is at most 0, and nothing otherwise.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -53,6 +54,8 @@ __all__ = [
 ]
 
 DEFAULT_DIMENSION = 256
+
+_T = TypeVar("_T")
 
 _UNIT_TOLERANCE = 1e-9
 # above this norm no square in the sum of squares underflowed enough to move
@@ -184,11 +187,35 @@ class ExternalApiEmbedder:
 
 @dataclass(frozen=True)
 class MemoryRecord:
+    """One stored experience.
+
+    A payload is immutable once stored: nothing may change it in place,
+    because what is derived from it is computed once and kept with the
+    record (see ``derived``).
+    """
+
     record_id: int
     kind: RecordKind
     key_text: str
     embedding: Embedding
     payload: dict[str, Any]
+
+    @functools.cached_property
+    def _derived(self) -> dict[str, Any]:
+        return {}
+
+    def derived(self, name: str, compute: Callable[[dict[str, Any]], _T]) -> _T:
+        """``compute(payload)``, computed on the first call for ``name`` and
+        returned again on later ones.
+
+        The value is kept in the record's own ``__dict__``, so it lives and
+        dies with the record, and it takes no part in equality or ``repr``.
+        """
+        memo = self._derived
+        if name not in memo:
+            # racing callers compute equal values; all get the first stored
+            memo.setdefault(name, compute(self.payload))
+        return memo[name]
 
 
 @dataclass

@@ -238,6 +238,7 @@ def _find_cycle(pipeline: PipelineAutomaton) -> str | None:
 _TOP_KEYS = ("pipeline_name", "pipeline_purpose", "nodes", "edges")
 _NODE_KEYS = ("node_name", "tool_name", "node_type")
 _EDGE_KEYS = ("edge_name", "edge_type", "from_node", "to_node", "comments")
+_NODE_TYPES = frozenset(t.value for t in NodeType)
 
 
 def _schema_problems(doc: Any) -> list[Violation]:
@@ -294,7 +295,7 @@ def _schema_problems(doc: Any) -> list[Violation]:
                               "comments must all be strings")
                 )
             if section == "nodes" and isinstance(item.get("node_type"), str):
-                if item["node_type"] not in {t.value for t in NodeType}:
+                if item["node_type"] not in _NODE_TYPES:
                     problems.append(
                         Violation("schema", f"{where}({label}).node_type",
                                   f"unknown node_type {item['node_type']!r}")
@@ -306,7 +307,8 @@ def pipeline_from_dict(doc: dict[str, Any]) -> PipelineAutomaton:
     """Parse a wire document; raises PipelineSchemaError listing every problem."""
     problems = _schema_problems(doc)
     if problems:
-        raise PipelineSchemaError("; ".join(v.render() for v in problems))
+        raise PipelineSchemaError("; ".join(v.render() for v in problems),
+                                  tuple(problems))
     return PipelineAutomaton(
         pipeline_name=doc["pipeline_name"],
         pipeline_purpose=doc["pipeline_purpose"],
@@ -342,10 +344,11 @@ def pipeline_to_dict(pipeline: PipelineAutomaton) -> dict[str, Any]:
 
 def validate_document(doc: Any) -> list[Violation]:
     """Schema problems first; structural rules once the document parses."""
-    problems = _schema_problems(doc)
-    if problems:
-        return problems
-    return validate_pipeline(pipeline_from_dict(doc))
+    try:
+        pipeline = pipeline_from_dict(doc)
+    except PipelineSchemaError as exc:
+        return list(exc.violations)
+    return validate_pipeline(pipeline)
 
 
 def dumps_pipeline(pipeline: PipelineAutomaton) -> str:

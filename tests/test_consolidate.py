@@ -29,7 +29,8 @@ from ice.consolidate import (
 )
 from ice.errors import ConsolidationFailed, UnfinalizedTree
 from ice.llm import CallTag
-from ice.pipeline import dumps_pipeline, pipeline_to_dict
+import ice.pipeline
+from ice.pipeline import dumps_pipeline, pipeline_to_dict, validate_document
 from ice.plan import GoalStatus, new_plan
 from ice.trajectory import Step, StepOutcome, Trajectory, TrajectoryStatus
 
@@ -199,6 +200,36 @@ def test_repair_prompt_carries_the_violation_list():
     ])
     automaton = consolidate_pipeline(traj, goal, backend)
     assert any(n.node_type.value == "End" for n in automaton.nodes)
+
+
+@pytest.mark.parametrize("fault", ["schema", "structure"])
+def test_each_reply_is_schema_checked_once_and_repaired_with_validate_document_text(
+    fault, monkeypatch
+):
+    traj, goal = demo_trajectory(0)
+    valid = pipeline_to_dict(DEMONSTRATIONS[0].pipeline)
+    broken = pipeline_to_dict(DEMONSTRATIONS[0].pipeline)
+    if fault == "schema":
+        del broken["pipeline_name"]
+        broken["nodes"][0]["node_type"] = "Begin"
+    else:
+        broken["nodes"] = [n for n in broken["nodes"] if n["node_type"] != "End"]
+    violations = "\n- ".join(v.render() for v in validate_document(broken))
+    backend = scripted([
+        {"match": f"has these problems:\n- {violations}\nReply again", "response": valid},
+        {"match": "Query:", "response": broken},
+    ])
+    checks = []
+    schema_problems = ice.pipeline._schema_problems
+
+    def counted(doc):
+        checks.append(doc)
+        return schema_problems(doc)
+
+    monkeypatch.setattr(ice.pipeline, "_schema_problems", counted)
+    automaton = consolidate_pipeline(traj, goal, backend)
+    assert pipeline_to_dict(automaton) == valid
+    assert checks == [broken, valid]
 
 
 def test_invented_tool_names_trigger_repair():

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import gc
+import json
+import weakref
+
 import pytest
 
+import ice.engine
 from helpers import g, scripted
 from ice.consolidate import DEMONSTRATIONS
 from ice.engine import (
@@ -14,6 +19,7 @@ from ice.engine import (
 )
 from ice.env import SimulatedEnvironment, builtin_toolkit
 from ice.errors import (
+    BadPredicate,
     PipelineRunFailed,
     PlanParseError,
     RectifyParseError,
@@ -593,6 +599,95 @@ def test_reutilization_shadow_count_over_twenty_subgoals():
         methods.append(runner.handle_subgoal(leaf(f"novel subgoal {i} xyz")).method)
     assert sum(1 for m in methods if m is ExecutionMethod.PIPELINE) == 11
     assert sum(1 for m in methods if m is ExecutionMethod.REACT) == 9
+
+
+def count_pipeline_checks(monkeypatch):
+    """Count the calls of the parser and validator the engine looks up."""
+    calls = {"pipeline_from_dict": 0, "validate_pipeline": 0}
+    for name in calls:
+        original = getattr(ice.engine, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(ice.engine, name, counted)
+    return calls
+
+
+SCHEMA_INVALID = {"nodes": [{"node_name": "start"}], "edges": []}
+STRUCTURALLY_INVALID = {**trivial_pipeline_payload("no end"), "edges": []}
+
+
+def test_hits_on_one_record_parse_and_validate_it_once(monkeypatch):
+    memory = ExperienceMemory()
+    memory.store(RecordKind.PIPELINE, pipeline_key("search climate news", []),
+                 trivial_pipeline_payload("climate research"))
+    runner = make_runner([], memory=memory, config=RunConfig(execution_ice=True))
+    calls = count_pipeline_checks(monkeypatch)
+    for _ in range(5):
+        outcome = runner.handle_subgoal(leaf("search climate news"))
+        assert outcome.method is ExecutionMethod.PIPELINE
+        assert outcome.success is True
+    assert calls == {"pipeline_from_dict": 1, "validate_pipeline": 1}
+    # a second runner over the same memory reuses the record's verdict too
+    again = make_runner([], memory=memory, config=RunConfig(execution_ice=True))
+    assert again.handle_subgoal(leaf("search climate news")).success is True
+    assert calls == {"pipeline_from_dict": 1, "validate_pipeline": 1}
+
+
+@pytest.mark.parametrize("payload, validations", [
+    (SCHEMA_INVALID, 0),
+    (STRUCTURALLY_INVALID, 1),
+], ids=["schema-invalid", "structurally-invalid"])
+def test_an_invalid_stored_pipeline_falls_back_to_react_once_judged(
+    payload, validations, monkeypatch
+):
+    memory = ExperienceMemory()
+    memory.store(RecordKind.PIPELINE, pipeline_key("fragile goal", []), payload)
+    runner = make_runner(
+        [{"match": "Completed steps: 0", "response": TERMINATE}],
+        memory=memory,
+        config=RunConfig(execution_ice=True),
+    )
+    calls = count_pipeline_checks(monkeypatch)
+    for hits in range(1, 4):
+        outcome = runner.handle_subgoal(leaf("fragile goal"))
+        assert outcome.method is ExecutionMethod.REACT
+        assert outcome.success is True
+        # the ReACT terminate is the only call: none is spent on the pipeline
+        assert runner.backend.counters.by_tag(CallTag.TOOL_HANDLING) == hits
+        assert runner.backend.counters.snapshot()["all"] == hits
+    assert calls == {"pipeline_from_dict": 1, "validate_pipeline": validations}
+
+
+def test_a_stored_record_and_its_verdict_die_with_the_memory():
+    memory = ExperienceMemory()
+    record_id = memory.store(RecordKind.PIPELINE, pipeline_key("search climate news", []),
+                             trivial_pipeline_payload("climate research"))
+    runner = make_runner([], memory=memory, config=RunConfig(execution_ice=True))
+    assert runner.handle_subgoal(leaf("search climate news")).success is True
+    record = memory.get(record_id)
+    # the verdict is kept on the record: asking again computes nothing
+    verdict = record.derived("pipeline", lambda payload: pytest.fail("recomputed"))
+    assert verdict.automaton.pipeline_name == "climate research"
+    record_ref, verdict_ref = weakref.ref(record), weakref.ref(verdict)
+    del memory, runner, record, verdict
+    gc.collect()
+    assert record_ref() is None
+    assert verdict_ref() is None
+
+
+def test_bad_milestone_override_fails_when_the_task_file_loads(tmp_path):
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps({"id": "t", "goal": "g",
+                                "milestones": {"search news": ["bogus"]}}))
+    with pytest.raises(BadPredicate):
+        TaskSpec.from_file(path)
+    with pytest.raises(BadPredicate):
+        TaskSpec(task_id="t", goal="g", milestones={"a": ["file_exists:x", "bogus"]})
+    ok = TaskSpec(task_id="t", goal="g", milestones={"a": ["file_exists:x"]})
+    assert ok.milestones == {"a": ["file_exists:x"]}
 
 
 # -- full task runs ---------------------------------------------------------------------

@@ -13,6 +13,7 @@ from ice.memory import (
     Embedding,
     ExperienceMemory,
     LocalDeterministicEmbedder,
+    MemoryRecord,
     RecordKind,
     pipeline_key,
     workflow_key,
@@ -155,6 +156,27 @@ def test_store_ids_match_shadow_list():
     assert shadow == list(range(1, 201))
     assert len(memory) == 200
     assert memory.stats.writes == 200
+
+
+def test_derived_values_are_computed_once_and_left_out_of_equality():
+    memory = ExperienceMemory()
+    record = memory.get(memory.store(RecordKind.PIPELINE, "k", PIPELINE_PAYLOAD))
+    fresh = MemoryRecord(record.record_id, record.kind, record.key_text,
+                         record.embedding, dict(PIPELINE_PAYLOAD))
+    before = repr(record)
+    seen = []
+
+    def name_of(payload):
+        seen.append(payload)
+        return payload["pipeline_name"]
+
+    assert record.derived("name", name_of) == "p"
+    assert record.derived("name", name_of) == "p"
+    assert record.derived("nodes", len) == 4
+    assert seen == [PIPELINE_PAYLOAD]
+    assert record == fresh and fresh == record
+    assert repr(record) == before == repr(fresh)
+    assert fresh.derived("name", lambda payload: "other") == "other"
 
 
 def test_get_unknown_record_raises():
