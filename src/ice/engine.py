@@ -27,6 +27,7 @@ from .consolidate import (
     workflow_to_dict,
 )
 from .env import (
+    MilestoneKind,
     SimulatedEnvironment,
     build_environment,
     evaluate_milestones,
@@ -452,6 +453,17 @@ class TaskRunner:
                 )
         raise error(f"repair limit exhausted: {last}")
 
+    def _check_custom_milestones(self, subgoals: Sequence[tuple[str, list[str]]]) -> None:
+        """Raise ValueError for a ``custom:`` milestone that this task's
+        environment has not registered, so that the reply is re-prompted."""
+        for _, milestones in subgoals:
+            for milestone in milestones:
+                predicate = parse_predicate(milestone)
+                if (predicate.kind is MilestoneKind.CUSTOM
+                        and predicate.params[0] not in self.environment.custom_predicates):
+                    raise ValueError(
+                        f"no custom predicate registered as {predicate.params[0]!r}")
+
     # -- planning -----------------------------------------------------------
 
     def generate_initial_plan(self) -> PlanTree:
@@ -461,8 +473,14 @@ class TaskRunner:
                 RecordKind.WORKFLOW, self.task.goal, self.config.workflow_threshold
             )
         user = render_plan_prompt(self.task.goal, reference)
+
+        def parse_plan(text: str) -> list[tuple[str, list[str]]]:
+            subgoals = parse_plan_reply(text)
+            self._check_custom_milestones(subgoals)
+            return subgoals
+
         subgoals = self._complete_parsed(
-            PLANNING_SYSTEM, user, CallTag.PLANNING, parse_plan_reply, PlanParseError
+            PLANNING_SYSTEM, user, CallTag.PLANNING, parse_plan, PlanParseError
         )
         self.tree = new_plan(self.task.goal, subgoals)
         return self.tree
@@ -506,6 +524,8 @@ class TaskRunner:
 
         def parse_and_stage(text: str) -> list[RectifyAction]:
             actions = parse_rectify_reply(text)
+            for action in actions:
+                self._check_custom_milestones(action.subgoals)
             # dry-run on a copy so a half-applicable reply cannot corrupt the
             # live tree before the repair re-prompt
             try:

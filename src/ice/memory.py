@@ -19,6 +19,10 @@ compared with the threshold. The fast and exact products round differently
 a per-record scan whenever they differ by less than 5e-10. A zero query
 scores exactly 0 against every record, so it gets the earliest record, with no
 score computed, when the threshold is at most 0, and nothing otherwise.
+
+Records are append-only, so each kind remembers up to 4,096 answers by query
+text and threshold until it gets a record, and answers a repeat without
+embedding or scoring it: an ``ExternalApiEmbedder`` makes no HTTP call for it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Callable, TypeVar
 
 import numpy as np
 
@@ -248,6 +252,7 @@ def _check_payload(kind: RecordKind, payload: dict[str, Any]) -> None:
 _FIRST_BLOCK_COLUMNS = 16
 _MAX_BLOCK_COLUMNS = 1024
 _SCORE_TOLERANCE = 1e-9
+_MAX_ANSWERS = 4096  # per kind; one more clears them
 
 
 class _KindRecords:
@@ -259,6 +264,9 @@ class _KindRecords:
     ``len(records)`` and a copy of ``blocks`` taken under the store's lock may
     therefore score those columns without the lock while ``append`` fills
     later ones.
+
+    ``answers`` holds what ``best`` returned for all the current records, by
+    ``(query text, threshold)``; ``append`` empties it.
     """
 
     def __init__(self, kind: RecordKind, dimension: int) -> None:
@@ -267,6 +275,7 @@ class _KindRecords:
         self.records: list[MemoryRecord] = []
         self.blocks: list[np.ndarray] = []
         self._capacity = 0
+        self.answers: dict[tuple[str, float], tuple[MemoryRecord, float] | None] = {}
 
     def append(
         self, record_id: int, key_text: str, payload: dict[str, Any], values: Any,
@@ -289,24 +298,47 @@ class _KindRecords:
         record = MemoryRecord(record_id, self.kind, key_text,
                               Embedding._wrap(column), payload)
         self.records.append(record)
+        self.answers.clear()
         return record
 
     def check_norms(self) -> None:
         """Raise ValueError unless every column has norm 1 or 0, like an ``Embedding``."""
-        for columns in _filled(self.blocks, len(self.records)):
+        # a block is made only for a record, so each one holds at least one
+        unchecked = len(self.records)
+        for block in self.blocks:
+            columns = block[:, :unchecked]
+            unchecked -= block.shape[1]
             norms = np.sqrt(np.einsum("ij,ij->j", columns, columns))
             bad = (norms != 0.0) & ~(np.abs(norms - 1.0) <= _UNIT_TOLERANCE)
             if bad.any():
                 raise ValueError(f"embedding norm must be 1 or 0, got {norms[bad][0]}")
 
-
-def _filled(blocks: list[np.ndarray], count: int) -> Iterator[np.ndarray]:
-    """The first ``count`` columns of ``blocks``, one slice per block."""
-    for block in blocks:
-        if count <= 0:
-            return
-        yield block[:, :count]
-        count -= block.shape[1]
+    def best(self, query: Embedding, count: int, blocks: list[np.ndarray],
+             threshold: float) -> tuple[MemoryRecord, float] | None:
+        """The first ``count`` records' best and its similarity, if that clears the threshold."""
+        if count == 0:
+            return None
+        # zero cells add exact zeros to every score: read only the block rows
+        # of the query's non-zero coordinates. ``take`` copies whole rows,
+        # faster than slicing them first; the scores of columns past
+        # ``count``, which ``store`` may be filling meanwhile, are cut
+        coordinates = np.flatnonzero(query.values)
+        if not coordinates.size:
+            # every cosine with the zero vector is exactly 0: the earliest
+            # record is the best, with no score to compute
+            return (self.records[0], 0.0) if threshold <= 0 else None
+        values = query.values[coordinates]
+        scores = np.concatenate(
+            [values @ block.take(coordinates, axis=0) for block in blocks])[:count]
+        best = scores.max()
+        if best < threshold - _SCORE_TOLERANCE:
+            return None
+        near_best = [self.records[i] for i in np.flatnonzero(scores >= best - _SCORE_TOLERANCE)]
+        # max keeps the first of equal scores: the earliest-stored record
+        record, similarity = max(
+            ((r, query.cosine(r.embedding)) for r in near_best), key=lambda hit: hit[1]
+        )
+        return (record, similarity) if similarity >= threshold else None
 
 
 # -- snapshot text ---------------------------------------------------------------
@@ -470,37 +502,25 @@ class ExperienceMemory:
         """Best record of ``kind`` by cosine similarity, if it clears the threshold.
 
         Ties keep the earliest-stored record, so results do not depend on
-        insertion order beyond first-come precedence.
+        insertion order beyond first-come precedence. The answer is given
+        again, without an ``embed`` call, until a record of ``kind`` is stored.
         """
         kind_records = self._kinds[kind]
+        key = (query_text, threshold)
         with self._lock:
-            count, blocks = len(kind_records.records), list(kind_records.blocks)
             self.stats.reads += 1
-        query = self.embed(query_text)
-        if count == 0:
-            return None
-        # zero cells add exact zeros to every score: read only the block rows
-        # of the query's non-zero coordinates. ``take`` copies whole rows,
-        # faster than slicing them first; the scores of columns past
-        # ``count``, which ``store`` may be filling meanwhile, are cut
-        coordinates = np.flatnonzero(query.values)
-        if not coordinates.size:
-            # every cosine with the zero vector is exactly 0: the earliest
-            # record is the best, with no score to compute
-            return (kind_records.records[0], 0.0) if threshold <= 0 else None
-        values = query.values[coordinates]
-        scores = np.concatenate(
-            [values @ block.take(coordinates, axis=0) for block in blocks])[:count]
-        best = scores.max()
-        if best < threshold - _SCORE_TOLERANCE:
-            return None
-        near_best = [kind_records.records[i]
-                     for i in np.flatnonzero(scores >= best - _SCORE_TOLERANCE)]
-        # max keeps the first of equal scores: the earliest-stored record
-        record, similarity = max(
-            ((r, query.cosine(r.embedding)) for r in near_best), key=lambda hit: hit[1]
-        )
-        return (record, similarity) if similarity >= threshold else None
+            answers = kind_records.answers
+            if key in answers:
+                return answers[key]
+            count, blocks = len(kind_records.records), list(kind_records.blocks)
+        answer = kind_records.best(self.embed(query_text), count, blocks, threshold)
+        with self._lock:
+            # a record stored meanwhile may beat this answer: keep it only if none was
+            if len(kind_records.records) == count:
+                if len(answers) >= _MAX_ANSWERS:
+                    answers.clear()
+                answers[key] = answer
+        return answer
 
     def get(self, record_id: int) -> MemoryRecord:
         with self._lock:

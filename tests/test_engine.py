@@ -369,6 +369,24 @@ def test_unparseable_milestone_is_re_prompted_before_the_run():
     assert [o.success for o in report.outcomes] == [True]
 
 
+def test_unregistered_custom_milestone_is_re_prompted_before_the_run():
+    runner = make_runner([
+        {"match": "Could not apply that reply", "response": {"subgoals": [
+            {"description": "write notes", "milestones": ["custom:has_notes"]}]}},
+        {"match": "Goal:", "response": {"subgoals": [
+            {"description": "write notes", "milestones": ["custom:nothing"]}]}},
+        {"match": "Subgoal: write notes\nCompleted steps: 0",
+         "response": step_reply("FileSystemEnv_write_to_file",
+                                filepath="notes.txt", content="notes")},
+        {"match": "Subgoal: write notes\nCompleted steps: 1", "response": TERMINATE},
+    ])
+    runner.environment.custom_predicates["has_notes"] = lambda world: "notes.txt" in world.files
+    report = runner.run()
+    assert runner.backend.counters.by_tag(CallTag.PLANNING) == 2
+    assert report.plan.find(g("1")).milestones == ["custom:has_notes"]
+    assert [o.success for o in report.outcomes] == [True]
+
+
 # -- rectification -----------------------------------------------------------------
 
 
@@ -473,8 +491,10 @@ def test_rectify_invalid_target_feeds_repair_and_tree_stays_intact():
         {"description": "bad", "milestones": "file_exists:a.txt"}]},
     {"kind": "split", "target": "2", "subgoals": [
         {"description": "bad", "milestones": ["bogus"]}]},
+    {"kind": "split", "target": "2", "subgoals": [
+        {"description": "bad", "milestones": ["custom:nothing"]}]},
 ], ids=["action-not-an-object", "malformed-goal-id", "string-milestones",
-        "unparseable-milestone"])
+        "unparseable-milestone", "unregistered-custom-milestone"])
 def test_malformed_rectify_reply_is_re_prompted(bad_action):
     runner = failed_leaf_runner([
         {"match": "Could not apply that reply", "response": {"actions": [

@@ -7,17 +7,25 @@ different record or a different last bit in the score fails a test.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import random
 import sys
 import threading
+from typing import Callable
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ice.memory import Embedding, ExperienceMemory, LocalDeterministicEmbedder, RecordKind
+from ice.memory import (
+    _MAX_ANSWERS,
+    Embedding,
+    ExperienceMemory,
+    LocalDeterministicEmbedder,
+    RecordKind,
+)
 
 PAYLOADS = {
     RecordKind.WORKFLOW: {"source_goal": "root", "source_description": "d", "entries": []},
@@ -270,3 +278,155 @@ def test_loaded_memory_retrieves_what_the_saved_one_did(tmp_path):
             for threshold in (0.0, 0.85):
                 assert (as_pair(loaded.retrieve(kind, text, threshold=threshold))
                         == as_pair(memory.retrieve(kind, text, threshold=threshold)))
+
+
+# -- remembered answers ------------------------------------------------------------
+
+
+class CountingEmbedder(LocalDeterministicEmbedder):
+    """Counts ``embed`` calls by text. ``before[text]`` runs once, first
+    thing in the next ``embed`` of ``text``."""
+
+    def __init__(self) -> None:
+        super().__init__(dimension=16)
+        self.calls: collections.Counter[str] = collections.Counter()
+        self.before: dict[str, Callable[[], object]] = {}
+
+    def embed(self, text: str) -> Embedding:
+        self.calls[text] += 1
+        hook = self.before.pop(text, None)
+        if hook is not None:
+            hook()
+        return super().embed(text)
+
+
+W, P = RecordKind.WORKFLOW, RecordKind.PIPELINE
+MEMO_TEXTS = ["", "solar", "solar grid", "grid solar battery", "wind", "wind market", "news"]
+
+
+def assert_fresh_answer(memory, stored, kind, text, threshold, hit):
+    """``hit`` is what a never-queried memory holding ``stored`` answers:
+    the same record of ``memory`` and the same float."""
+    fresh = ExperienceMemory(embedder=LocalDeterministicEmbedder(dimension=16))
+    for stored_kind, key in stored:
+        fresh.store(stored_kind, key, PAYLOADS[stored_kind])
+    expected = fresh.retrieve(kind, text, threshold)
+    if expected is None:
+        assert hit is None
+    else:
+        assert hit is not None and hit[0] is memory.get(expected[0].record_id)
+        assert hit[1] == expected[1]
+
+
+@settings(max_examples=60, deadline=None)
+# an answer kept across a store into its kind, or computed before a store
+# that landed while the query was embedded, fails here
+@example(ops=[("retrieve", P, "wind", 0.0, W, ""), ("store", P, "wind", 0.0, W, ""),
+              ("retrieve", P, "wind", 0.0, W, ""), ("race", W, "solar", 0.85, W, "solar")])
+@given(ops=st.lists(st.tuples(st.sampled_from(["store", "retrieve", "retrieve", "race"]),
+                              st.sampled_from([W, P]), st.sampled_from(MEMO_TEXTS),
+                              st.sampled_from([0.0, 0.85, 1.0]),
+                              st.sampled_from([W, P]), st.sampled_from(MEMO_TEXTS)),
+                    max_size=30))
+def test_remembered_answers_equal_those_of_a_fresh_memory(ops):
+    embedder = CountingEmbedder()
+    memory = ExperienceMemory(embedder=embedder)
+    stored: list[tuple[RecordKind, str]] = []
+
+    def store(kind, text):
+        memory.store(kind, text, PAYLOADS[kind])
+        stored.append((kind, text))
+
+    for op, kind, text, threshold, other_kind, other_text in ops:
+        if op == "store":
+            store(kind, text)
+            continue
+        before = list(stored)
+        if op == "race":
+            # the store lands after the retrieve has read the record count,
+            # while it embeds the query; a remembered answer makes no embed
+            embedder.before[text] = lambda: store(other_kind, other_text)
+        hit = memory.retrieve(kind, text, threshold)
+        pending = embedder.before.pop(text, None)
+        if pending is not None:
+            pending()
+        assert_fresh_answer(memory, before, kind, text, threshold, hit)
+        # and asked again at once, after the store of a race
+        again = memory.retrieve(kind, text, threshold)
+        assert_fresh_answer(memory, stored, kind, text, threshold, again)
+    assert memory.stats.reads == 2 * sum(op != "store" for op, *_ in ops)
+
+
+def test_a_text_is_embedded_once_until_its_kind_gets_a_record():
+    embedder = CountingEmbedder()
+    memory = ExperienceMemory(embedder=embedder)
+    memory.store(W, "solar grid", PAYLOADS[W])
+    memory.store(P, "wind market", PAYLOADS[P])
+    embedder.calls.clear()
+    for _ in range(3):
+        for text in ("solar", "grid", "news"):
+            memory.retrieve(W, text, threshold=0.0)
+    assert embedder.calls == {"solar": 1, "grid": 1, "news": 1}
+    assert memory.stats.reads == 9
+
+    memory.store(P, "solar", PAYLOADS[P])  # the other kind
+    memory.retrieve(W, "solar", threshold=0.0)
+    assert embedder.calls["solar"] == 2  # one of them is the store's key
+    memory.store(W, "news", PAYLOADS[W])  # the same kind
+    hit = memory.retrieve(W, "news", threshold=0.0)
+    assert embedder.calls["news"] == 3 and hit[0].key_text == "news"
+    memory.retrieve(W, "solar", threshold=0.0)
+    assert embedder.calls["solar"] == 3
+
+
+def test_remembered_answers_stay_within_the_bound():
+    embedder = CountingEmbedder()
+    memory = ExperienceMemory(embedder=embedder)
+    memory.store(W, "solar grid", PAYLOADS[W])
+    answers = memory._kinds[W].answers
+    for i in range(_MAX_ANSWERS + 1):
+        memory.retrieve(W, f"text {i}", threshold=0.85)
+        assert len(answers) <= _MAX_ANSWERS
+    memory.retrieve(W, "text 0", threshold=0.85)
+    assert embedder.calls["text 0"] == 2
+
+
+def test_a_retrieve_after_a_store_in_another_thread_sees_the_new_record():
+    embedder = CountingEmbedder()
+    memory = ExperienceMemory(embedder=embedder)
+    memory.store(W, "solar grid", PAYLOADS[W])
+    problems: list[str] = []
+
+    def guarded(work, *args) -> threading.Thread:
+        def run() -> None:
+            try:
+                work(*args)
+            except Exception as exc:  # a thread's exception would only be printed
+                problems.append(repr(exc))
+        thread = threading.Thread(target=run)
+        thread.start()
+        return thread
+
+    # a remembered answer, then a better record stored by another thread
+    assert memory.retrieve(W, "solar battery grid", threshold=0.0)[0].record_id == 1
+    writer = guarded(memory.store, W, "solar battery grid", PAYLOADS[W])
+    writer.join(timeout=10)
+    assert memory.retrieve(W, "solar battery grid", threshold=0.0)[0].record_id == 2
+
+    # a retrieve still embedding its query when a better record is stored
+    entered, release = threading.Event(), threading.Event()
+
+    def pause() -> None:
+        entered.set()
+        release.wait(timeout=10)
+
+    embedder.before["wind market"] = pause
+    reader = guarded(memory.retrieve, W, "wind market", 0.85)
+    assert entered.wait(timeout=10)
+    memory.store(W, "wind market", PAYLOADS[W])
+    release.set()
+    reader.join(timeout=10)
+    assert not writer.is_alive() and not reader.is_alive()
+    assert problems == []
+    hit = memory.retrieve(W, "wind market", threshold=0.85)
+    assert hit is not None and hit[0].record_id == 3
