@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Container, Sequence
 
 from .consolidate import (
     consolidate_pipeline,
@@ -299,15 +299,21 @@ def render_react_prompt(goal: Goal, traj: Trajectory) -> str:
 # -- reply parsing ---------------------------------------------------------------
 
 
-def parse_plan_reply(text: str) -> list[tuple[str, list[str]]]:
+def parse_plan_reply(
+    text: str, custom_names: Container[str]
+) -> list[tuple[str, list[str]]]:
     doc = extract_json_document(text)
     subgoals = doc.get("subgoals")
     if not isinstance(subgoals, list):
         raise ValueError('the reply needs a "subgoals" list')
-    return _parse_subgoals(subgoals)
+    return _parse_subgoals(subgoals, custom_names)
 
 
-def _parse_subgoals(items: list[Any]) -> list[tuple[str, list[str]]]:
+def _parse_subgoals(
+    items: list[Any], custom_names: Container[str]
+) -> list[tuple[str, list[str]]]:
+    """Check each reply subgoal; a ``custom:`` milestone must name one of
+    ``custom_names``, the predicates the task's environment has registered."""
     parsed = []
     for item in items:
         if not isinstance(item, dict) or not isinstance(item.get("description"), str):
@@ -319,9 +325,13 @@ def _parse_subgoals(items: list[Any]) -> list[tuple[str, list[str]]]:
             raise ValueError("milestones must be a list of strings")
         for milestone in milestones:
             try:
-                parse_predicate(milestone)
+                predicate = parse_predicate(milestone)
             except BadPredicate as exc:
                 raise ValueError(str(exc)) from exc
+            if (predicate.kind is MilestoneKind.CUSTOM
+                    and predicate.params[0] not in custom_names):
+                raise ValueError(
+                    f"no custom predicate registered as {predicate.params[0]!r}")
         parsed.append((item["description"], list(milestones)))
     return parsed
 
@@ -333,7 +343,7 @@ class RectifyAction:
     subgoals: tuple[tuple[str, list[str]], ...]
 
 
-def parse_rectify_reply(text: str) -> list[RectifyAction]:
+def parse_rectify_reply(text: str, custom_names: Container[str]) -> list[RectifyAction]:
     doc = extract_json_document(text)
     raw_actions = doc.get("actions")
     if not isinstance(raw_actions, list) or not raw_actions:
@@ -354,7 +364,7 @@ def parse_rectify_reply(text: str) -> list[RectifyAction]:
         subgoals = raw.get("subgoals")
         if not isinstance(subgoals, list) or not subgoals:
             raise ValueError("actions need a non-empty subgoals list")
-        parsed = _parse_subgoals(subgoals)
+        parsed = _parse_subgoals(subgoals, custom_names)
         try:
             anchor_id = GoalId.parse(anchor)
         except InvalidGoal as exc:
@@ -453,17 +463,6 @@ class TaskRunner:
                 )
         raise error(f"repair limit exhausted: {last}")
 
-    def _check_custom_milestones(self, subgoals: Sequence[tuple[str, list[str]]]) -> None:
-        """Raise ValueError for a ``custom:`` milestone that this task's
-        environment has not registered, so that the reply is re-prompted."""
-        for _, milestones in subgoals:
-            for milestone in milestones:
-                predicate = parse_predicate(milestone)
-                if (predicate.kind is MilestoneKind.CUSTOM
-                        and predicate.params[0] not in self.environment.custom_predicates):
-                    raise ValueError(
-                        f"no custom predicate registered as {predicate.params[0]!r}")
-
     # -- planning -----------------------------------------------------------
 
     def generate_initial_plan(self) -> PlanTree:
@@ -473,14 +472,13 @@ class TaskRunner:
                 RecordKind.WORKFLOW, self.task.goal, self.config.workflow_threshold
             )
         user = render_plan_prompt(self.task.goal, reference)
-
-        def parse_plan(text: str) -> list[tuple[str, list[str]]]:
-            subgoals = parse_plan_reply(text)
-            self._check_custom_milestones(subgoals)
-            return subgoals
-
+        custom_names = self.environment.custom_predicates.keys()
         subgoals = self._complete_parsed(
-            PLANNING_SYSTEM, user, CallTag.PLANNING, parse_plan, PlanParseError
+            PLANNING_SYSTEM,
+            user,
+            CallTag.PLANNING,
+            lambda text: parse_plan_reply(text, custom_names),
+            PlanParseError,
         )
         self.tree = new_plan(self.task.goal, subgoals)
         return self.tree
@@ -523,9 +521,9 @@ class TaskRunner:
                         anchor = tree.log[-1].introduced[0]
 
         def parse_and_stage(text: str) -> list[RectifyAction]:
-            actions = parse_rectify_reply(text)
-            for action in actions:
-                self._check_custom_milestones(action.subgoals)
+            actions = parse_rectify_reply(
+                text, self.environment.custom_predicates.keys()
+            )
             # dry-run on a copy so a half-applicable reply cannot corrupt the
             # live tree before the repair re-prompt
             try:
