@@ -25,6 +25,7 @@ from .llm import (
     LlmBackend,
     Message,
     Role,
+    complete_parsed,
 )
 from .pipeline import (
     NodeType,
@@ -439,49 +440,35 @@ def consolidate_pipeline(
     if traj.final_status is not TrajectoryStatus.SUCCESS:
         raise ValueError("only successful trajectories are consolidated")
     request = build_consolidation_request(traj, goal)
-    messages = list(request.messages)
     known_tools = {s.tool_name for s in traj.steps}
-    problems: list[str] = []
-    for _ in range(repair_limit + 1):
-        reply = backend.complete(
-            CompletionRequest(request.system, tuple(messages), CallTag.CONSOLIDATION)
-        )
-        problems = []
-        doc = None
+
+    def parse(reply: str) -> PipelineAutomaton:
         try:
             doc = extract_json_document(reply)
         except ValueError as exc:
-            problems.append(f"reply is not a JSON document: {exc}")
-        if doc is not None:
-            # one schema check and one parse per reply: the schema error
-            # carries every schema violation, the same list validate_document gives
-            try:
-                automaton = pipeline_from_dict(doc)
-            except PipelineSchemaError as exc:
-                problems.extend(v.render() for v in exc.violations)
-            else:
-                problems.extend(v.render() for v in validate_pipeline(automaton))
-            if not problems:
-                for node in automaton.nodes:
-                    if (
-                        node.node_type is NodeType.TOOL_SERVER
-                        and node.tool_name not in known_tools
-                    ):
-                        problems.append(
-                            f"unknown_tool_name [{node.node_name}]: tool "
-                            f"{node.tool_name!r} never appears in the trajectory"
-                        )
-                if not problems:
-                    return automaton
-        messages.append(Message(Role.ASSISTANT, reply))
-        messages.append(
-            Message(
-                Role.USER,
-                "The pipeline document has these problems:\n- "
-                + "\n- ".join(problems)
-                + "\nReply again with one corrected JSON pipeline document.",
-            )
-        )
-    raise ConsolidationFailed(
-        "repair limit exhausted; last problems: " + "; ".join(problems)
-    )
+            raise ValueError(f"reply is not a JSON document: {exc}") from exc
+        # one schema check and one parse per reply: the schema error carries
+        # every schema violation, the same list validate_document gives
+        try:
+            automaton = pipeline_from_dict(doc)
+        except PipelineSchemaError as exc:
+            problems = [v.render() for v in exc.violations]
+        else:
+            problems = [v.render() for v in validate_pipeline(automaton)] or [
+                f"unknown_tool_name [{node.node_name}]: tool "
+                f"{node.tool_name!r} never appears in the trajectory"
+                for node in automaton.nodes
+                if node.node_type is NodeType.TOOL_SERVER
+                and node.tool_name not in known_tools
+            ]
+        if problems:
+            raise ValueError("\n- ".join(problems))
+        return automaton
+
+    def retry(problems: ValueError) -> str:
+        return (f"The pipeline document has these problems:\n- {problems}\n"
+                "Reply again with one corrected JSON pipeline document.")
+
+    return complete_parsed(backend, request.system, request.messages[0].content,
+                           CallTag.CONSOLIDATION, parse, ConsolidationFailed,
+                           repair_limit, retry)

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Container, Sequence
+from typing import Any, Callable, Container, Iterable, Sequence
 
 from .consolidate import (
     consolidate_pipeline,
@@ -46,7 +46,7 @@ from .errors import (
     TaskAborted,
     UnknownTool,
 )
-from .llm import CallTag, CompletionRequest, LlmBackend, Message, Role, counters_delta
+from .llm import CallTag, LlmBackend, complete_parsed, counters_delta
 from .memory import (
     ExperienceMemory,
     MemoryRecord,
@@ -133,7 +133,7 @@ class RunConfig:
 class SubgoalOutcome:
     goal_id: GoalId
     method: ExecutionMethod
-    trajectory: Trajectory | None
+    trajectory: Trajectory
     pipeline_used: str | None
     success: bool
 
@@ -147,7 +147,7 @@ class SubgoalOutcome:
             "method": self.method.value,
             "pipeline_used": self.pipeline_used,
             "success": self.success,
-            "trajectory": self.trajectory.to_dict() if self.trajectory else None,
+            "trajectory": self.trajectory.to_dict(),
         }
 
 
@@ -309,11 +309,21 @@ def parse_plan_reply(
     return _parse_subgoals(subgoals, custom_names)
 
 
+def _check_milestones(milestones: Iterable[str], custom_names: Container[str]) -> None:
+    """Raise ``BadPredicate`` unless every milestone parses and each
+    ``custom:`` one names one of ``custom_names``, the predicates the task's
+    environment has registered."""
+    for milestone in milestones:
+        predicate = parse_predicate(milestone)
+        if (predicate.kind is MilestoneKind.CUSTOM
+                and predicate.params[0] not in custom_names):
+            raise BadPredicate(
+                f"no custom predicate registered as {predicate.params[0]!r}")
+
+
 def _parse_subgoals(
     items: list[Any], custom_names: Container[str]
 ) -> list[tuple[str, list[str]]]:
-    """Check each reply subgoal; a ``custom:`` milestone must name one of
-    ``custom_names``, the predicates the task's environment has registered."""
     parsed = []
     for item in items:
         if not isinstance(item, dict) or not isinstance(item.get("description"), str):
@@ -323,15 +333,10 @@ def _parse_subgoals(
             not isinstance(m, str) for m in milestones
         ):
             raise ValueError("milestones must be a list of strings")
-        for milestone in milestones:
-            try:
-                predicate = parse_predicate(milestone)
-            except BadPredicate as exc:
-                raise ValueError(str(exc)) from exc
-            if (predicate.kind is MilestoneKind.CUSTOM
-                    and predicate.params[0] not in custom_names):
-                raise ValueError(
-                    f"no custom predicate registered as {predicate.params[0]!r}")
+        try:
+            _check_milestones(milestones, custom_names)
+        except BadPredicate as exc:
+            raise ValueError(str(exc)) from exc
         parsed.append((item["description"], list(milestones)))
     return parsed
 
@@ -424,6 +429,8 @@ class TaskRunner:
         self.environment = environment or build_environment(
             task.env_setup, task.base_dir
         )
+        for milestones in task.milestones.values():
+            _check_milestones(milestones, self.environment.custom_predicates)
         self.tree: PlanTree | None = None
         self.outcomes: list[SubgoalOutcome] = []
         self.trajectories: dict[str, Trajectory] = {}
@@ -433,35 +440,10 @@ class TaskRunner:
 
     # -- backend plumbing ---------------------------------------------------
 
-    def _complete_parsed(
-        self,
-        system: str,
-        user: str,
-        tag: CallTag,
-        parser: Callable[[str], Any],
-        error: type[Exception],
-    ) -> Any:
-        """Call the backend and parse; re-prompt with the parse error appended
-        up to the repair limit, then raise ``error``."""
-        messages: list[Message] = [Message(Role.USER, user)]
-        last: Exception | None = None
-        for _ in range(self.config.repair_limit + 1):
-            reply = self.backend.complete(
-                CompletionRequest(system, tuple(messages), tag)
-            )
-            try:
-                return parser(reply)
-            except ValueError as exc:
-                last = exc
-                messages.append(Message(Role.ASSISTANT, reply))
-                messages.append(
-                    Message(
-                        Role.USER,
-                        f"Could not apply that reply: {exc}. "
-                        "Reply again with valid JSON.",
-                    )
-                )
-        raise error(f"repair limit exhausted: {last}")
+    def _complete_parsed(self, system: str, user: str, tag: CallTag,
+                         parser: Callable[[str], Any], error: type[Exception]) -> Any:
+        return complete_parsed(self.backend, system, user, tag, parser, error,
+                               self.config.repair_limit)
 
     # -- planning -----------------------------------------------------------
 
@@ -695,18 +677,11 @@ class TaskRunner:
             f"Transition notes: {'; '.join(incoming) or 'none'}\n"
             f"Prior outputs:\n{prior}"
         )
-
-        def parse_args(text: str) -> dict[str, Any]:
-            doc = extract_json_document(text)
-            if not isinstance(doc, dict):
-                raise ValueError("tool arguments must be a JSON object")
-            return doc
-
         return self._complete_parsed(
             PIPELINE_PARAM_SYSTEM,
             user,
             CallTag.TOOL_HANDLING,
-            parse_args,
+            extract_json_document,
             PipelineRunFailed,
         )
 
@@ -782,8 +757,7 @@ class TaskRunner:
         self.tree.set_status(goal.id, GoalStatus.IN_PROGRESS)
         outcome = self.handle_subgoal(goal)
         self.outcomes.append(outcome)
-        if outcome.trajectory is not None:
-            self.trajectories[key] = outcome.trajectory
+        self.trajectories[key] = outcome.trajectory
         self.tree.set_status(
             goal.id, GoalStatus.SUCCESS if outcome.success else GoalStatus.FAILURE
         )
@@ -830,16 +804,7 @@ class TaskRunner:
         before = self.backend.counters.snapshot()
         try:
             self.generate_initial_plan()
-            root = self.tree.root
-            if root.children:
-                self.tree.set_status(root.id, GoalStatus.IN_PROGRESS)
-                ok = self._run_children(root)
-                self.tree.set_status(
-                    root.id, GoalStatus.SUCCESS if ok else GoalStatus.FAILURE
-                )
-                self._achieved[root.id.render()] = ok
-            else:
-                self._execute_leaf(root)
+            self._achieve(self.tree.root)
             if self.config.mode is RunMode.TRAIN:
                 self._consolidate_and_store()
         except BackendError as exc:

@@ -174,7 +174,7 @@ def parse_predicate(text: str) -> MilestonePredicate:
         name, sep, count = rest.partition(":")
         if not sep:
             return MilestonePredicate(MilestoneKind.TOOL_CALLED, (name, "1"))
-        if count.isdigit():
+        if count.isdecimal():
             return MilestonePredicate(MilestoneKind.TOOL_CALLED, (name, count))
     if head == MilestoneKind.CUSTOM.value and rest:
         return MilestonePredicate(MilestoneKind.CUSTOM, (rest,))

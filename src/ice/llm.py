@@ -3,7 +3,8 @@
 Every completion is tagged with what it is for (planning, tool handling,
 consolidation, other) and counted exactly once, including calls that fail
 after reaching the provider. Embedding lookups never go through this module,
-so they never enter the call counts.
+so they never enter the call counts. ``complete_parsed`` is the one loop
+that asks for a reply, parses it, and re-prompts when it is malformed.
 
 Two providers ship: a scripted backend that replays canned responses for
 tests and benchmarks, and a generic HTTP chat-completion client for live use.
@@ -17,7 +18,7 @@ import re
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, Callable
 
 from .errors import HttpBackendError, NoScenarioMatch
 
@@ -26,6 +27,7 @@ __all__ = [
     "Role",
     "Message",
     "CompletionRequest",
+    "complete_parsed",
     "CallCounters",
     "render_request",
     "LlmBackend",
@@ -70,6 +72,29 @@ class CompletionRequest:
             raise ValueError("a completion request needs at least one message")
 
 
+def _retry_text(exc: ValueError) -> str:
+    return f"Could not apply that reply: {exc}. Reply again with valid JSON."
+
+
+def complete_parsed(backend: LlmBackend, system: str, user: str, tag: CallTag,
+                    parse: Callable[[str], Any], error: type[Exception],
+                    repair_limit: int,
+                    retry: Callable[[ValueError], str] = _retry_text) -> Any:
+    """Call the backend and parse the reply. A ``ValueError`` from ``parse``
+    appends the reply and ``retry(exc)`` to the conversation and asks again,
+    up to ``repair_limit`` re-prompts; then ``error`` is raised."""
+    messages = [Message(Role.USER, user)]
+    last: ValueError | None = None
+    for _ in range(repair_limit + 1):
+        reply = backend.complete(CompletionRequest(system, tuple(messages), tag))
+        try:
+            return parse(reply)
+        except ValueError as exc:
+            last = exc
+            messages += [Message(Role.ASSISTANT, reply), Message(Role.USER, retry(exc))]
+    raise error(f"repair limit exhausted: {last}")
+
+
 def render_request(request: CompletionRequest) -> str:
     """Flatten a request to one string: system first, then role-prefixed messages.
 
@@ -82,7 +107,7 @@ def render_request(request: CompletionRequest) -> str:
 
 
 class CallCounters:
-    """Thread-safe totals per tag; ``all`` always equals the tag sum."""
+    """Thread-safe totals per tag."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -91,11 +116,6 @@ class CallCounters:
     def record(self, tag: CallTag) -> None:
         with self._lock:
             self._by_tag[tag] += 1
-
-    @property
-    def all(self) -> int:
-        with self._lock:
-            return sum(self._by_tag.values())
 
     def by_tag(self, tag: CallTag) -> int:
         with self._lock:

@@ -387,6 +387,24 @@ def test_unregistered_custom_milestone_is_re_prompted_before_the_run():
     assert [o.success for o in report.outcomes] == [True]
 
 
+def test_a_count_of_non_decimal_digits_is_re_prompted_before_the_run():
+    runner = make_runner([
+        {"match": "Could not apply that reply", "response": {"subgoals": [
+            {"description": "write notes",
+             "milestones": ["tool_called:FileSystemEnv_write_to_file:\u0661"]}]}},
+        {"match": "Goal:", "response": {"subgoals": [
+            {"description": "write notes",
+             "milestones": ["tool_called:FileSystemEnv_write_to_file:\u00b2"]}]}},
+        {"match": "Subgoal: write notes\nCompleted steps: 0",
+         "response": step_reply("FileSystemEnv_write_to_file",
+                                filepath="notes.txt", content="notes")},
+        {"match": "Subgoal: write notes\nCompleted steps: 1", "response": TERMINATE},
+    ])
+    report = runner.run()
+    assert runner.backend.counters.by_tag(CallTag.PLANNING) == 2
+    assert [o.success for o in report.outcomes] == [True]
+
+
 # -- rectification -----------------------------------------------------------------
 
 
@@ -708,6 +726,17 @@ def test_bad_milestone_override_fails_when_the_task_file_loads(tmp_path):
         TaskSpec(task_id="t", goal="g", milestones={"a": ["file_exists:x", "bogus"]})
     ok = TaskSpec(task_id="t", goal="g", milestones={"a": ["file_exists:x"]})
     assert ok.milestones == {"a": ["file_exists:x"]}
+
+
+def test_unregistered_custom_override_fails_before_any_backend_call():
+    task = TaskSpec(task_id="t", goal="g",
+                    milestones={"write notes": ["custom:has_notes"]})
+    backend = scripted([{"match": "", "response": TERMINATE}])
+    with pytest.raises(BadPredicate, match="has_notes"):
+        run_task(task, ExperienceMemory(), backend, RunConfig())
+    assert backend.counters.snapshot()["all"] == 0
+    env = SimulatedEnvironment(custom_predicates={"has_notes": lambda world: True})
+    TaskRunner(task, ExperienceMemory(), backend, RunConfig(), environment=env)
 
 
 # -- full task runs ---------------------------------------------------------------------
