@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Any
 
 from .engine import (
+    DEFAULT_MAX_REACT_STEPS,
     DEFAULT_RETRIEVAL_THRESHOLD,
     ExecutionMethod,
     RunConfig,
@@ -105,7 +106,7 @@ class BenchSpec:
     backend: str
     pipeline_threshold: float = DEFAULT_RETRIEVAL_THRESHOLD
     workflow_threshold: float = DEFAULT_RETRIEVAL_THRESHOLD
-    max_react_steps: int = 8
+    max_react_steps: int = DEFAULT_MAX_REACT_STEPS
     base_dir: Path | None = None  # scripted scenario paths resolve against this
 
     def __post_init__(self) -> None:
@@ -134,7 +135,7 @@ class BenchSpec:
             backend=doc["backend"],
             pipeline_threshold=float(doc.get("pipeline_threshold", DEFAULT_RETRIEVAL_THRESHOLD)),
             workflow_threshold=float(doc.get("workflow_threshold", DEFAULT_RETRIEVAL_THRESHOLD)),
-            max_react_steps=int(doc.get("max_react_steps", 8)),
+            max_react_steps=int(doc.get("max_react_steps", DEFAULT_MAX_REACT_STEPS)),
             base_dir=base,
         )
 

@@ -19,7 +19,8 @@ from .bench import (
     run_bench,
 )
 from .consolidate import consolidate_pipeline
-from .engine import DEFAULT_RETRIEVAL_THRESHOLD, RunConfig, RunMode, TaskSpec, run_task
+from .engine import (DEFAULT_MAX_REACT_STEPS, DEFAULT_RETRIEVAL_THRESHOLD, RunConfig,
+                     RunMode, TaskSpec, run_task)
 from .errors import (
     ArmFailed,
     BackendError,
@@ -51,7 +52,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                         default=DEFAULT_RETRIEVAL_THRESHOLD)
     parser.add_argument("--threshold-workflow", type=float,
                         default=DEFAULT_RETRIEVAL_THRESHOLD)
-    parser.add_argument("--max-react-steps", type=int, default=8)
+    parser.add_argument("--max-react-steps", type=int, default=DEFAULT_MAX_REACT_STEPS)
     parser.add_argument("--out", help="output path")
 
 

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Any, Callable, Container, Iterable, Sequence
 
 from .consolidate import (
+    DEFAULT_REPAIR_LIMIT,
     consolidate_pipeline,
     consolidate_workflows,
     extract_json_document,
@@ -81,6 +82,7 @@ __all__ = [
     "TaskRunner",
     "run_task",
     "DEFAULT_RETRIEVAL_THRESHOLD",
+    "DEFAULT_MAX_REACT_STEPS",
     "MAX_RECTIFICATIONS_PER_GOAL",
 ]
 
@@ -107,6 +109,9 @@ class ExecutionMethod(str, Enum):
 #: Cosine similarity a stored record must reach to be reused.
 DEFAULT_RETRIEVAL_THRESHOLD = 0.85
 
+#: Tool steps a ReACT loop may take before its leaf fails.
+DEFAULT_MAX_REACT_STEPS = 8
+
 
 @dataclass
 class RunConfig:
@@ -115,8 +120,8 @@ class RunConfig:
     mode: RunMode = RunMode.EXPLOIT
     pipeline_threshold: float = DEFAULT_RETRIEVAL_THRESHOLD
     workflow_threshold: float = DEFAULT_RETRIEVAL_THRESHOLD
-    max_react_steps: int = 8
-    repair_limit: int = 3
+    max_react_steps: int = DEFAULT_MAX_REACT_STEPS
+    repair_limit: int = DEFAULT_REPAIR_LIMIT
 
     def __post_init__(self) -> None:
         for name in ("pipeline_threshold", "workflow_threshold"):
@@ -433,9 +438,7 @@ class TaskRunner:
             _check_milestones(milestones, self.environment.custom_predicates)
         self.tree: PlanTree | None = None
         self.outcomes: list[SubgoalOutcome] = []
-        self.trajectories: dict[str, Trajectory] = {}
         self._achieved: dict[str, bool] = {}
-        self._rectify_attempts: dict[str, int] = {}
         self._total_rectifications = 0
 
     # -- backend plumbing ---------------------------------------------------
@@ -727,19 +730,18 @@ class TaskRunner:
     # -- plan walking -----------------------------------------------------------
 
     def _run_children(self, parent: Goal) -> bool:
-        # index loop: rectifications may append children while we iterate
-        i = 0
-        while i < len(parent.children):
-            self._achieve(parent.children[i])
-            i += 1
-        return all(
-            self._achieved.get(child.id.render(), False) for child in parent.children
-        )
+        # rectifications may insert children anywhere, before the running one
+        # too: run the first child not in ``_achieved`` until none is left;
+        # each ``_achieve`` records its goal, so every goal runs once
+        while True:
+            pending = next((child for child in parent.children
+                            if child.id.render() not in self._achieved), None)
+            if pending is None:
+                return all(self._achieved[child.id.render()] for child in parent.children)
+            self._achieve(pending)
 
     def _achieve(self, goal: Goal) -> bool:
         key = goal.id.render()
-        if key in self._achieved:
-            return self._achieved[key]
         if goal.children:
             if goal.status is GoalStatus.PENDING:
                 self.tree.set_status(goal.id, GoalStatus.IN_PROGRESS)
@@ -753,26 +755,22 @@ class TaskRunner:
         return self._execute_leaf(goal)
 
     def _execute_leaf(self, goal: Goal) -> bool:
-        key = goal.id.render()
         self.tree.set_status(goal.id, GoalStatus.IN_PROGRESS)
         outcome = self.handle_subgoal(goal)
         self.outcomes.append(outcome)
-        self.trajectories[key] = outcome.trajectory
         self.tree.set_status(
             goal.id, GoalStatus.SUCCESS if outcome.success else GoalStatus.FAILURE
         )
-        if outcome.success:
-            self._achieved[key] = True
-            return True
-
-        achieved = False
+        # a goal is executed once, so its rectification count is local
+        achieved = outcome.success
+        attempts = 0
         while (
             not achieved
             and not goal.id.is_root
-            and self._rectify_attempts.get(key, 0) < MAX_RECTIFICATIONS_PER_GOAL
+            and attempts < MAX_RECTIFICATIONS_PER_GOAL
             and self._total_rectifications < MAX_RECTIFICATIONS_PER_TASK
         ):
-            self._rectify_attempts[key] = self._rectify_attempts.get(key, 0) + 1
+            attempts += 1
             self._total_rectifications += 1
             logged_before = len(self.tree.log)
             try:
@@ -780,8 +778,6 @@ class TaskRunner:
             except RectifyParseError:
                 break
             events = self.tree.log[logged_before:]
-            if not events:
-                break
             if any(
                 ev.kind is RectificationKind.SPLIT and ev.target == goal.id
                 for ev in events
@@ -795,7 +791,7 @@ class TaskRunner:
                 # failure no longer blocks the parent (the siblings still
                 # have to succeed on their own)
                 achieved = True
-        self._achieved[key] = achieved
+        self._achieved[goal.id.render()] = achieved
         return achieved
 
     # -- full run -----------------------------------------------------------------
@@ -821,10 +817,11 @@ class TaskRunner:
     def _consolidate_and_store(self) -> None:
         # a goal that failed and was split is no longer a leaf; its stale
         # trajectory must not reach the leaf-only investigation
+        trajectories = {outcome.goal_id: outcome.trajectory for outcome in self.outcomes}
         leaf_trajectories = [
-            self.trajectories[leaf.id.render()]
+            trajectories[leaf.id]
             for leaf in self.tree.leaves()
-            if leaf.id.render() in self.trajectories
+            if leaf.id in trajectories
         ]
         for traj in investigate_trajectories(self.tree, leaf_trajectories):
             goal = self.tree.find(traj.goal_id)

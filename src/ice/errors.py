@@ -72,10 +72,6 @@ class PayloadKindMismatch(IceError):
     """A record payload does not match its declared kind."""
 
 
-class EmbeddingBackendError(IceError):
-    """The external embedding provider failed."""
-
-
 class UnknownRecord(IceError):
     """A record id does not exist in the memory store."""
 

@@ -22,7 +22,7 @@ score computed, when the threshold is at most 0, and nothing otherwise.
 
 Records are append-only, so each kind remembers up to 4,096 answers by query
 text and threshold until it gets a record, and answers a repeat without
-embedding or scoring it: an ``ExternalApiEmbedder`` makes no HTTP call for it.
+embedding or scoring it.
 """
 
 from __future__ import annotations
@@ -38,18 +38,12 @@ from typing import Any, Callable, TypeVar
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmbeddingBackendError,
-    PayloadKindMismatch,
-    UnknownRecord,
-)
+from .errors import DimensionMismatch, PayloadKindMismatch, UnknownRecord
 
 __all__ = [
     "RecordKind",
     "Embedding",
     "LocalDeterministicEmbedder",
-    "ExternalApiEmbedder",
     "MemoryRecord",
     "MemoryStats",
     "ExperienceMemory",
@@ -143,50 +137,6 @@ class LocalDeterministicEmbedder:
             digest = hashlib.sha256(token.encode("utf-8")).digest()
             counts[int.from_bytes(digest[:8], "big") % self.dimension] += 1.0
         return Embedding.from_raw(counts)
-
-
-class ExternalApiEmbedder:
-    """Proxy an embeddings endpoint (OpenAI-style body) and normalize."""
-
-    def __init__(
-        self,
-        endpoint: str,
-        model: str = "",
-        api_key: str = "",
-        dimension: int = DEFAULT_DIMENSION,
-        timeout: float = 30.0,
-    ) -> None:
-        self.endpoint = endpoint
-        self.model = model
-        self.api_key = api_key
-        self.dimension = dimension
-        self.timeout = timeout
-
-    def embed(self, text: str) -> Embedding:
-        import urllib.error
-        import urllib.request
-
-        body = json.dumps({"model": self.model, "input": text}).encode()
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        request = urllib.request.Request(
-            self.endpoint, data=body, headers=headers, method="POST"
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                payload = json.loads(resp.read().decode("utf-8"))
-            raw = payload["data"][0]["embedding"]
-        except (urllib.error.URLError, TimeoutError, OSError) as exc:
-            raise EmbeddingBackendError(f"embedding call failed: {exc}") from exc
-        except (KeyError, IndexError, ValueError) as exc:
-            raise EmbeddingBackendError(f"malformed embedding reply: {exc}") from exc
-        embedding = Embedding.from_raw(raw)
-        if embedding.dimension != self.dimension:
-            raise DimensionMismatch(
-                f"provider returned dimension {embedding.dimension}, expected {self.dimension}"
-            )
-        return embedding
 
 
 @dataclass(frozen=True)
@@ -464,7 +414,7 @@ class ExperienceMemory:
 
     def __init__(
         self,
-        embedder: LocalDeterministicEmbedder | ExternalApiEmbedder | None = None,
+        embedder: LocalDeterministicEmbedder | None = None,
     ) -> None:
         self._embedder = embedder or LocalDeterministicEmbedder()
         self._records: list[MemoryRecord] = []
@@ -568,40 +518,48 @@ class ExperienceMemory:
     def load(
         cls,
         path: str,
-        embedder: LocalDeterministicEmbedder | ExternalApiEmbedder | None = None,
+        embedder: LocalDeterministicEmbedder | None = None,
     ) -> "ExperienceMemory":
         """Read a snapshot written by ``save``, or a version 1 snapshot,
         validating every record."""
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        version = doc.get("version", 1)
-        if type(version) is not int or version not in (1, _SNAPSHOT_VERSION):
-            raise ValueError(f"unknown snapshot version {version!r}")
-        store = cls(embedder=embedder)
-        if doc["dimension"] != store.dimension:
-            raise DimensionMismatch(
-                f"snapshot dimension {doc['dimension']} != embedder dimension {store.dimension}"
-            )
-        for raw in doc.get("records", []):
-            kind = RecordKind(raw["kind"])
-            _check_payload(kind, raw["payload"])
-            embedding = raw["embedding"]
-            if version == 1:
-                if not isinstance(embedding, list) or len(embedding) != store.dimension:
-                    raise DimensionMismatch(
-                        f"record {raw['id']} lacks an embedding of dimension {store.dimension}"
-                    )
-                cells = slice(None)
-            else:
-                cells, embedding = _sparse_cells(embedding, store.dimension, raw["id"])
-            # parsed straight into the blocks, with no Embedding copy in between
-            record = store._kinds[kind].append(
-                int(raw["id"]), raw["key_text"], raw["payload"], embedding, cells
-            )
-            if record.record_id in store._by_id:
-                raise ValueError(f"snapshot has more than one record with id {record.record_id}")
-            store._by_id[record.record_id] = record
-            store._records.append(record)
+        # a document of another shape fails below on a missing key or a value of
+        # the wrong type (OverflowError: an integer too large for a float)
+        try:
+            version = doc.get("version", 1)
+            if type(version) is not int or version not in (1, _SNAPSHOT_VERSION):
+                raise ValueError(f"unknown snapshot version {version!r}")
+            store = cls(embedder=embedder)
+            if doc["dimension"] != store.dimension:
+                raise DimensionMismatch(
+                    f"snapshot dimension {doc['dimension']} != embedder dimension {store.dimension}"
+                )
+            for raw in doc.get("records", []):
+                kind = RecordKind(raw["kind"])
+                _check_payload(kind, raw["payload"])
+                embedding = raw["embedding"]
+                if version == 1:
+                    if not isinstance(embedding, list) or len(embedding) != store.dimension:
+                        raise DimensionMismatch(
+                            f"record {raw['id']} lacks an embedding of dimension {store.dimension}"
+                        )
+                    cells = slice(None)
+                else:
+                    cells, embedding = _sparse_cells(embedding, store.dimension, raw["id"])
+                # parsed straight into the blocks, with no Embedding copy in between
+                record = store._kinds[kind].append(
+                    int(raw["id"]), raw["key_text"], raw["payload"], embedding, cells
+                )
+                if record.record_id in store._by_id:
+                    raise ValueError(
+                        f"snapshot has more than one record with id {record.record_id}")
+                store._by_id[record.record_id] = record
+                store._records.append(record)
+        except KeyError as exc:
+            raise ValueError(f"snapshot lacks the key {exc}") from exc
+        except (TypeError, AttributeError, OverflowError) as exc:
+            raise ValueError(f"snapshot has the wrong shape: {exc}") from exc
         for kind_records in store._kinds.values():
             kind_records.check_norms()
         store._next_id = max(store._by_id, default=0) + 1

@@ -79,6 +79,15 @@ def test_train_against_a_scenario_without_a_matching_rule_exits_three(tmp_path, 
     capsys.readouterr()
 
 
+def test_run_against_a_scenario_without_a_matching_rule_exits_three(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text("[]")
+    code = main(["run", str(SUITE_DIR / "tasks" / "test_solar_markets.json"),
+                 "--backend", f"scripted:{scenario}"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("task aborted:")
+
+
 def aborted_by(cause):
     error = TaskAborted("task stopped")
     error.__cause__ = cause
@@ -251,3 +260,19 @@ def test_memory_export_round_trips(trained_memory, tmp_path, capsys):
         record_id = int(path.stem.split("_")[1])
         stored = memory.get(record_id)
         assert path.read_text() == dumps_pipeline(pipeline_from_dict(stored.payload))
+
+
+@pytest.mark.parametrize("snapshot", [
+    [],
+    {"version": 2, "records": []},
+    {"version": 2, "dimension": 256, "records": [{"id": 1}]},
+    {"version": 2, "dimension": 256, "records": [
+        {"id": [1], "kind": "workflow", "key_text": "k", "embedding": [],
+         "payload": {"entries": []}}]},
+    {"version": 2, "dimension": 256, "records": 5},
+], ids=["list", "no-dimension", "no-kind", "list-id", "records-not-a-list"])
+def test_memory_list_of_a_snapshot_of_the_wrong_shape_exits_one(tmp_path, capsys, snapshot):
+    path = tmp_path / "memory.json"
+    path.write_text(json.dumps(snapshot))
+    assert main(["memory", "list", "--memory", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: snapshot ")

@@ -883,6 +883,35 @@ def test_failed_leaf_is_rectified_and_added_siblings_carry_the_parent():
     assert [o.success for o in report.outcomes] == [False, True]
 
 
+def test_a_sibling_added_before_the_failed_goal_still_runs():
+    rules = [
+        {"match": "Goal: two step plan", "response": {"subgoals": [
+            {"description": "first step", "milestones": []},
+            {"description": "second step", "milestones": ["file_exists:never.txt"]},
+        ]}},
+        {"match": "Subgoal: first step\nCompleted steps: 0", "response": TERMINATE},
+        {"match": "Subgoal: second step\nCompleted steps: 0", "response": TERMINATE},
+        # the new goal 3 goes between goal 1 and the failed goal 2
+        {"match": "Failed subgoal: second step", "response": {"actions": [
+            {"kind": "add", "after": "1", "subgoals": [
+                {"description": "inserted step", "milestones": ["file_exists:done.txt"]},
+            ]}]}},
+        {"match": "Subgoal: inserted step\nCompleted steps: 0",
+         "response": step_reply("FileSystemEnv_write_to_file",
+                                filepath="done.txt", content="ok")},
+        {"match": "Subgoal: inserted step\nCompleted steps: 1", "response": TERMINATE},
+    ]
+    report = run_task(
+        TaskSpec(task_id="insert", goal="two step plan"),
+        ExperienceMemory(), scripted(rules), RunConfig(mode=RunMode.EXPLOIT),
+    )
+    assert [c.id.render() for c in report.plan.root.children] == ["1", "3", "2"]
+    assert [o.goal_id.render() for o in report.outcomes] == ["1", "2", "3"]
+    assert report.plan.find(g("3")).status is GoalStatus.SUCCESS
+    assert report.plan.root.status is GoalStatus.SUCCESS
+    assert report.counters["all"] == 6
+
+
 def test_failed_leaf_split_children_carry_the_parent():
     rules = [
         {"match": "Goal: split goal plan", "response": {"subgoals": [

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import random
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -178,3 +180,88 @@ def test_http_backend_reads_environment(monkeypatch):
     with pytest.raises(HttpBackendError):
         backend.complete(request("x"))  # nothing listens on port 1
     assert backend.counters.snapshot()["all"] == 1
+
+
+# -- the HTTP transport, with urlopen patched: no socket is opened -----------------
+
+
+class _Response:
+    def __init__(self, body: bytes) -> None:
+        self.body = body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def read(self) -> bytes:
+        return self.body
+
+
+def patch_urlopen(monkeypatch, outcome):
+    """Make ``urlopen`` keep each request and its timeout, then return a
+    response whose body is ``outcome``, or raise ``outcome``."""
+    sent = []
+
+    def urlopen(http_request, timeout):
+        sent.append((http_request, timeout))
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return _Response(outcome)
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    return sent
+
+
+def chat_body(content: str) -> bytes:
+    return json.dumps({"choices": [{"message": {"role": "assistant",
+                                                "content": content}}]}).encode()
+
+
+def test_http_backend_sends_the_conversation_and_returns_the_content(monkeypatch):
+    sent = patch_urlopen(monkeypatch, chat_body("the reply"))
+    backend = HttpChatBackend(endpoint="http://127.0.0.1:9/v1/chat", model="demo-model",
+                              api_key="secret", timeout=7.5)
+    conversation = (Message(Role.USER, "hi"), Message(Role.ASSISTANT, "oops"),
+                    Message(Role.USER, "again"))
+    assert backend.complete(CompletionRequest("be brief", conversation,
+                                              CallTag.PLANNING)) == "the reply"
+    [(http_request, timeout)] = sent
+    assert timeout == 7.5
+    assert http_request.full_url == "http://127.0.0.1:9/v1/chat"
+    assert http_request.get_method() == "POST"
+    assert http_request.get_header("Authorization") == "Bearer secret"
+    assert json.loads(http_request.data) == {"model": "demo-model", "messages": [
+        {"role": "system", "content": "be brief"},
+        {"role": "user", "content": "hi"},
+        {"role": "assistant", "content": "oops"},
+        {"role": "user", "content": "again"},
+    ]}
+    assert backend.counters.snapshot()["by_tag"]["planning"] == 1
+
+
+def test_http_backend_without_a_key_sends_no_bearer_header(monkeypatch):
+    sent = patch_urlopen(monkeypatch, chat_body("ok"))
+    HttpChatBackend(endpoint="http://127.0.0.1:9/v1/chat").complete(request("x"))
+    assert sent[0][0].get_header("Authorization") is None
+
+
+@pytest.mark.parametrize("outcome", [
+    b"not json",
+    b"\xff",
+    json.dumps({"id": "no choices"}).encode(),
+    json.dumps({"choices": []}).encode(),
+    urllib.error.URLError("connection refused"),
+    urllib.error.HTTPError("http://127.0.0.1:9/v1/chat", 503, "unavailable", None, None),
+    TimeoutError("timed out"),
+], ids=["not-json", "not-utf8", "no-choices", "empty-choices", "url-error", "http-503",
+        "timeout"])
+def test_http_backend_failures_raise_and_count_each_attempt_once(monkeypatch, outcome):
+    sent = patch_urlopen(monkeypatch, outcome)
+    backend = HttpChatBackend(endpoint="http://127.0.0.1:9/v1/chat")
+    for attempt in (1, 2):
+        with pytest.raises(HttpBackendError):
+            backend.complete(request("x"))
+        assert len(sent) == attempt
+        assert backend.counters.snapshot()["all"] == attempt

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ice.errors import DimensionMismatch, PayloadKindMismatch, UnknownRecord
+from ice.errors import DimensionMismatch, IceError, PayloadKindMismatch, UnknownRecord
 from ice.memory import (
     Embedding,
     ExperienceMemory,
@@ -468,3 +468,46 @@ def test_load_rejects_a_bad_version_2_snapshot(tmp_path, embedding, version, err
     path = _write_v2_snapshot(tmp_path, [[[0, 1.0]], embedding], version=version)
     with pytest.raises(error):
         ExperienceMemory.load(path, embedder=LocalDeterministicEmbedder(dimension=4))
+
+
+def _objects(likely):
+    """Objects with the fields of ``likely``, all of them holding likely values,
+    or any of them holding any JSON value, or any subset of them missing."""
+    anything = {key: values | JSON_VALUES for key, values in likely.items()}
+    return (st.fixed_dictionaries(likely) | st.fixed_dictionaries(anything)
+            | st.fixed_dictionaries({}, optional=anything))
+
+
+SNAPSHOT_RECORDS = _objects({
+    "id": st.integers(1, 3),
+    "kind": st.sampled_from(["workflow", "pipeline"]),
+    "key_text": SNAPSHOT_TEXT,
+    # a version 1 row or version 2 pairs, either fitting a 4-cell embedder
+    "embedding": st.lists(st.sampled_from([0.0, 1.0]), min_size=4, max_size=4)
+    | st.lists(st.tuples(st.integers(-1, 4), st.sampled_from([1.0, -1.0, 0.5])).map(list),
+               max_size=3),
+    "payload": st.sampled_from([WORKFLOW_PAYLOAD, PIPELINE_PAYLOAD]),
+})
+SNAPSHOT_DOCUMENTS = JSON_VALUES | _objects({
+    "version": st.sampled_from([1, 2]),
+    "dimension": st.just(4),
+    "records": st.lists(SNAPSHOT_RECORDS | JSON_VALUES, max_size=3),
+})
+
+
+def _record_with(**fields):
+    return {**_raw_record(1), "embedding": [[0, 1.0]], **fields}
+
+
+@given(doc=SNAPSHOT_DOCUMENTS)
+@example(doc=[])
+@example(doc={"version": 2, "dimension": 4, "records": [_record_with(id=float("inf"))]})
+@example(doc={"version": 2, "dimension": 4, "records": [_record_with(embedding=[[0, 10**400]])]})
+@settings(max_examples=200, deadline=None)
+def test_load_of_any_json_document_returns_or_raises_value_error(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "any_json_memory.json"
+    path.write_text(json.dumps(doc))
+    try:
+        ExperienceMemory.load(str(path), embedder=LocalDeterministicEmbedder(dimension=4))
+    except (ValueError, IceError):
+        pass
