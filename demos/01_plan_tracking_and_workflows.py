@@ -49,13 +49,7 @@ for event in tree.log:
     print(f"  #{event.sequence_no} {event.kind.value:<5} at {event.target.render()}: +[{introduced}]")
 
 # Consolidation prunes every failed goal and linearizes the surviving
-# executed leaves. Strictly, only successfully achieved goals get workflows:
-print("\nworkflows (strict):")
+# executed leaves. Only successfully achieved goals get workflows:
+print("\nworkflows:")
 for wf in consolidate_workflows(tree):
-    print(f"  {wf.source_goal.render()}: {[e.goal_id.render() for e in wf.entries]}")
-
-# The rectified-failure flag also covers goal 2: it failed, but its surviving
-# leaves all succeeded, so its pruned path is worth keeping as experience.
-print("workflows (with rectified failures):")
-for wf in consolidate_workflows(tree, workflow_for_rectified_failures=True):
     print(f"  {wf.source_goal.render()}: {[e.goal_id.render() for e in wf.entries]}")

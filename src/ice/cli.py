@@ -196,7 +196,8 @@ def cmd_memory(args: argparse.Namespace) -> int:
     if args.subcommand == "list":
         query = memory.embed(args.query) if args.query else None
         for record in memory.records():
-            line = f"{record.record_id:>4}  {record.kind.value:<9} {record.key_text.splitlines()[0]}"
+            first_line = record.key_text.partition("\n")[0]
+            line = f"{record.record_id:>4}  {record.kind.value:<9} {first_line}"
             if query is not None:
                 line += f"  sim={query.cosine(record.embedding):.4f}"
             print(line)

@@ -46,7 +46,6 @@ __all__ = [
     "consolidate_workflows",
     "consolidate_pipeline",
     "workflow_to_dict",
-    "workflow_from_dict",
     "consolidation_system_prompt",
     "render_tool_records",
     "extract_json_document",
@@ -76,72 +75,38 @@ class Workflow:
     entries: list[WorkflowEntry] = field(default_factory=list)
 
 
-def _surviving_leaves(goal: Goal) -> list[Goal]:
-    """Leaves of the failure-pruned subtree rooted at ``goal``.
+def _entry_leaves(goal: Goal) -> list[Goal]:
+    """The successful leaves under ``goal``, left to right.
 
     Pruning deletes failed nodes and splices their surviving children into
-    the parent's position, so a failed goal's successful children stay in
-    left-to-right order. A node whose children were all pruned becomes a
-    leaf of the pruned tree itself.
+    the parent's position, so these are exactly the executed leaves of the
+    failure-pruned subtree, in its order.
     """
     if not goal.children:
-        return [] if goal.status is GoalStatus.FAILURE else [goal]
-    survivors: list[Goal] = []
-    for child in goal.children:
-        survivors.extend(_surviving_leaves(child))
-    if not survivors and goal.status is not GoalStatus.FAILURE:
-        return [goal]
-    return survivors
+        return [goal] if goal.status is GoalStatus.SUCCESS else []
+    return [leaf for child in goal.children for leaf in _entry_leaves(child)]
 
 
-def _entry_leaves(goal: Goal) -> list[Goal]:
-    # only executed leaves enter a workflow: original leaves that succeeded
-    return [
-        leaf
-        for leaf in _surviving_leaves(goal)
-        if leaf.is_leaf and leaf.status is GoalStatus.SUCCESS
-    ]
-
-
-def consolidate_workflows(
-    tree: PlanTree, *, workflow_for_rectified_failures: bool = False
-) -> list[Workflow]:
-    """One workflow per successfully achieved non-leaf goal, in tree order.
-
-    With ``workflow_for_rectified_failures`` enabled, a failed non-leaf goal
-    whose surviving leaves all finished successfully also yields a workflow;
-    that covers the failed-then-split goal whose children carried the work.
-    """
+def consolidate_workflows(tree: PlanTree) -> list[Workflow]:
+    """One workflow per successfully achieved non-leaf goal, in tree order."""
     if not tree.is_finalized():
         raise UnfinalizedTree("the tree still has in-progress goals")
-    workflows: list[Workflow] = []
-    for goal in tree.goals():
-        if goal.is_leaf:
-            continue
-        if goal.status is GoalStatus.SUCCESS:
-            emit = True
-        elif workflow_for_rectified_failures and goal.status is GoalStatus.FAILURE:
-            survivors = _surviving_leaves(goal)
-            entries = _entry_leaves(goal)
-            emit = bool(entries) and len(entries) == len(survivors)
-        else:
-            emit = False
-        if emit:
-            workflows.append(
-                Workflow(
-                    source_goal=goal.id,
-                    source_description=goal.description,
-                    entries=[
-                        WorkflowEntry(
-                            goal_id=leaf.id,
-                            description=leaf.description,
-                            milestones=tuple(leaf.milestones),
-                        )
-                        for leaf in _entry_leaves(goal)
-                    ],
+    return [
+        Workflow(
+            source_goal=goal.id,
+            source_description=goal.description,
+            entries=[
+                WorkflowEntry(
+                    goal_id=leaf.id,
+                    description=leaf.description,
+                    milestones=tuple(leaf.milestones),
                 )
-            )
-    return workflows
+                for leaf in _entry_leaves(goal)
+            ],
+        )
+        for goal in tree.goals()
+        if not goal.is_leaf and goal.status is GoalStatus.SUCCESS
+    ]
 
 
 def workflow_to_dict(workflow: Workflow) -> dict[str, Any]:
@@ -157,25 +122,6 @@ def workflow_to_dict(workflow: Workflow) -> dict[str, Any]:
             for e in workflow.entries
         ],
     }
-
-
-def workflow_from_dict(doc: dict[str, Any]) -> Workflow:
-    return Workflow(
-        source_goal=GoalId.parse(doc["source_goal"]),
-        source_description=doc["source_description"],
-        entries=[
-            WorkflowEntry(
-                goal_id=GoalId.parse(e["id"]),
-                description=e["description"],
-                milestones=tuple(e.get("milestones", [])),
-            )
-            for e in doc.get("entries", [])
-        ],
-    )
-
-
-def dumps_workflow(workflow: Workflow) -> str:
-    return json.dumps(workflow_to_dict(workflow), indent=2, ensure_ascii=False) + "\n"
 
 
 # -- pipeline consolidation -----------------------------------------------------

@@ -8,7 +8,6 @@ predicates evaluate against the world state alone.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -50,19 +49,6 @@ class WorldState:
     files: dict[str, str] = field(default_factory=dict)
     datasets: dict[str, Any] = field(default_factory=dict)
     invocation_log: list[InvocationRecord] = field(default_factory=list)
-
-    def digest(self) -> str:
-        """Stable hash of the full state, for replay-determinism checks."""
-        doc = {
-            "files": dict(sorted(self.files.items())),
-            "datasets": self.datasets,
-            "invocation_log": [
-                {"tool": r.tool, "args": r.args, "outcome": r.outcome.value}
-                for r in self.invocation_log
-            ],
-        }
-        blob = json.dumps(doc, sort_keys=True, ensure_ascii=False)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 Behavior = Callable[[dict[str, Any], WorldState], str]

@@ -222,12 +222,6 @@ class ScriptedBackend(LlmBackend):
             f"no scripted rule matched a {request.tag.value} request: {excerpt!r}"
         )
 
-    def reset(self) -> None:
-        """Zero both the counters and the per-rule use counts."""
-        self.reset_counters()
-        with self._lock:
-            self._uses = [0] * len(self._scenario.rules)
-
 
 class HttpChatBackend(LlmBackend):
     """Minimal chat-completions client; endpoint, model, and key come from

@@ -107,10 +107,6 @@ class Embedding:
     def dimension(self) -> int:
         return int(self.values.shape[0])
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.values.any()
-
     def cosine(self, other: "Embedding") -> float:
         """Dot product of unit vectors; 0 whenever either side is zero."""
         # a stored embedding is a strided block column, and BLAS rounds a
@@ -523,7 +519,10 @@ class ExperienceMemory:
         """Read a snapshot written by ``save``, or a version 1 snapshot,
         validating every record."""
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except RecursionError as exc:
+                raise ValueError(f"snapshot nests too deeply: {exc}") from exc
         # a document of another shape fails below on a missing key or a value of
         # the wrong type (OverflowError: an integer too large for a float)
         try:
@@ -536,20 +535,26 @@ class ExperienceMemory:
                     f"snapshot dimension {doc['dimension']} != embedder dimension {store.dimension}"
                 )
             for raw in doc.get("records", []):
+                record_id, key_text = raw["id"], raw["key_text"]
+                # type(...) is int, not isinstance: a bool is no id
+                if type(record_id) is not int:
+                    raise ValueError(f"snapshot record id {record_id!r} is not an integer")
+                if not isinstance(key_text, str):
+                    raise ValueError(f"snapshot record {record_id} has a key_text that is not a string")
                 kind = RecordKind(raw["kind"])
                 _check_payload(kind, raw["payload"])
                 embedding = raw["embedding"]
                 if version == 1:
                     if not isinstance(embedding, list) or len(embedding) != store.dimension:
                         raise DimensionMismatch(
-                            f"record {raw['id']} lacks an embedding of dimension {store.dimension}"
+                            f"record {record_id} lacks an embedding of dimension {store.dimension}"
                         )
                     cells = slice(None)
                 else:
-                    cells, embedding = _sparse_cells(embedding, store.dimension, raw["id"])
+                    cells, embedding = _sparse_cells(embedding, store.dimension, record_id)
                 # parsed straight into the blocks, with no Embedding copy in between
                 record = store._kinds[kind].append(
-                    int(raw["id"]), raw["key_text"], raw["payload"], embedding, cells
+                    record_id, key_text, raw["payload"], embedding, cells
                 )
                 if record.record_id in store._by_id:
                     raise ValueError(

@@ -35,7 +35,6 @@ __all__ = [
     "pipeline_from_dict",
     "pipeline_to_dict",
     "dumps_pipeline",
-    "loads_pipeline",
 ]
 
 
@@ -82,9 +81,6 @@ class PipelineAutomaton:
 
     def start_node(self) -> PipelineNode:
         return next(n for n in self.nodes if n.node_type is NodeType.START)
-
-    def end_node(self) -> PipelineNode:
-        return next(n for n in self.nodes if n.node_type is NodeType.END)
 
 
 @dataclass(frozen=True)
@@ -353,7 +349,3 @@ def validate_document(doc: Any) -> list[Violation]:
 
 def dumps_pipeline(pipeline: PipelineAutomaton) -> str:
     return json.dumps(pipeline_to_dict(pipeline), indent=2, ensure_ascii=False) + "\n"
-
-
-def loads_pipeline(text: str) -> PipelineAutomaton:
-    return pipeline_from_dict(json.loads(text))

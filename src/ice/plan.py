@@ -221,10 +221,6 @@ class PlanTree:
         goal.status = status
         return self
 
-    def successful_set(self) -> set[GoalId]:
-        """Ids of every goal whose final status is success."""
-        return {g.id for g in self.goals() if g.status is GoalStatus.SUCCESS}
-
     def _log_event(
         self, kind: RectificationKind, target: GoalId, introduced: tuple[GoalId, ...]
     ) -> None:
@@ -255,24 +251,6 @@ class PlanTree:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, ensure_ascii=False) + "\n"
 
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "PlanTree":
-        root = _goal_from_dict(doc, expected_parent=None)
-        log = [
-            RectificationEvent(
-                kind=RectificationKind(ev["kind"]),
-                target=GoalId.parse(ev["target"]),
-                introduced=tuple(GoalId.parse(g) for g in ev["introduced"]),
-                sequence_no=int(ev["sequence_no"]),
-            )
-            for ev in doc.get("log", [])
-        ]
-        return cls(root=root, log=log)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PlanTree":
-        return cls.from_dict(json.loads(text))
-
 
 def new_plan(
     root_description: str, subgoals: list[tuple[str, list[str]]]
@@ -301,21 +279,3 @@ def _goal_to_dict(goal: Goal) -> dict[str, Any]:
         "status": goal.status.value,
         "children": [_goal_to_dict(c) for c in goal.children],
     }
-
-
-def _goal_from_dict(doc: dict[str, Any], expected_parent: GoalId | None) -> Goal:
-    goal_id = GoalId.parse(doc["id"])
-    if expected_parent is None:
-        if not goal_id.is_root:
-            raise InvalidGoal(f"document root must have the root id, got {doc['id']!r}")
-    elif goal_id.is_root or goal_id.parent != expected_parent:
-        raise InvalidGoal(
-            f"goal {doc['id']!r} is not a direct child of {expected_parent.render()!r}"
-        )
-    return Goal(
-        id=goal_id,
-        description=doc["description"],
-        milestones=list(doc.get("milestones", [])),
-        status=GoalStatus(doc["status"]),
-        children=[_goal_from_dict(c, goal_id) for c in doc.get("children", [])],
-    )

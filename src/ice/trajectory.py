@@ -97,9 +97,6 @@ class Trajectory:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, ensure_ascii=False) + "\n"
-
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "Trajectory":
         traj = cls(goal_id=GoalId.parse(doc["goal_id"]))

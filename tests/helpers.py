@@ -68,7 +68,7 @@ def random_finalized_tree(rng: random.Random, max_depth: int = 5, max_fanout: in
     return tree
 
 
-def oracle_workflows(tree: PlanTree, *, workflow_for_rectified_failures: bool = False) -> list[Workflow]:
+def oracle_workflows(tree: PlanTree) -> list[Workflow]:
     """Brute-force reference: explicitly build the failure-pruned mirror of
     each subtree (failed nodes removed, children spliced in place), list its
     leaves depth-first, and keep the ones that were executed successfully."""
@@ -111,12 +111,6 @@ def oracle_workflows(tree: PlanTree, *, workflow_for_rectified_failures: bool = 
         leaves = surviving(goal)
         entries = [leaf for leaf in leaves if executed(leaf)]
         if goal.status is GoalStatus.SUCCESS:
-            emit = True
-        elif workflow_for_rectified_failures and goal.status is GoalStatus.FAILURE:
-            emit = bool(entries) and len(entries) == len(leaves)
-        else:
-            emit = False
-        if emit:
             workflows.append(
                 Workflow(
                     source_goal=goal.id,

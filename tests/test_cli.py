@@ -276,3 +276,28 @@ def test_memory_list_of_a_snapshot_of_the_wrong_shape_exits_one(tmp_path, capsys
     path.write_text(json.dumps(snapshot))
     assert main(["memory", "list", "--memory", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: snapshot ")
+
+
+def _one_workflow_snapshot(tmp_path, key_text):
+    path = tmp_path / "memory.json"
+    path.write_text(json.dumps({"version": 2, "dimension": 256, "records": [
+        {"id": 1, "kind": "workflow", "key_text": key_text, "embedding": [],
+         "payload": {"entries": []}}]}))
+    return str(path)
+
+
+def test_memory_list_of_a_record_with_an_empty_key_text_exits_zero(tmp_path, capsys):
+    assert main(["memory", "list", "--memory", _one_workflow_snapshot(tmp_path, "")]) == 0
+    assert capsys.readouterr().out == "   1  workflow  \n"
+
+
+def test_memory_list_of_a_record_with_an_integer_key_text_exits_one(tmp_path, capsys):
+    assert main(["memory", "list", "--memory", _one_workflow_snapshot(tmp_path, 5)]) == 1
+    assert capsys.readouterr().err.startswith("error: snapshot record 1 has a key_text ")
+
+
+def test_memory_list_of_a_deeply_nested_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "memory.json"
+    path.write_text("[" * 100_000)
+    assert main(["memory", "list", "--memory", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: snapshot nests too deeply")

@@ -21,10 +21,8 @@ from ice.consolidate import (
     consolidate_pipeline,
     consolidate_workflows,
     consolidation_system_prompt,
-    dumps_workflow,
     extract_json_document,
     render_tool_records,
-    workflow_from_dict,
     workflow_to_dict,
 )
 from ice.errors import ConsolidationFailed, UnfinalizedTree
@@ -46,25 +44,11 @@ def test_blog_case_strict_mode_yields_only_the_root_workflow():
     assert [e.goal_id.render() for e in root.entries] == ["1", "2-2", "2-3", "3"]
 
 
-def test_blog_case_rectified_flag_adds_the_failed_goal_workflow():
-    workflows = consolidate_workflows(
-        blog_case_tree(), workflow_for_rectified_failures=True
-    )
-    assert [(w.source_goal.render(), [e.goal_id.render() for e in w.entries])
-            for w in workflows] == [
-        ("root", ["1", "2-2", "2-3", "3"]),
-        ("2", ["2-2", "2-3"]),
-    ]
-
-
 def test_blog_case_matches_checked_in_goldens_byte_exactly():
-    workflows = consolidate_workflows(
-        blog_case_tree(), workflow_for_rectified_failures=True
-    )
+    workflows = consolidate_workflows(blog_case_tree())
     root_golden = (DATA_DIR / "workflows" / "blog_root.json").read_text(encoding="utf-8")
-    goal2_golden = (DATA_DIR / "workflows" / "blog_goal2.json").read_text(encoding="utf-8")
-    assert dumps_workflow(workflows[0]) == root_golden
-    assert dumps_workflow(workflows[1]) == goal2_golden
+    text = json.dumps(workflow_to_dict(workflows[0]), indent=2, ensure_ascii=False) + "\n"
+    assert text == root_golden
 
 
 def test_single_successful_leaf_child():
@@ -87,14 +71,11 @@ def test_workflow_entries_never_include_failures_or_non_leaves():
     rng = random.Random(41)
     for _ in range(200):
         tree = random_finalized_tree(rng)
-        for flag in (False, True):
-            for workflow in consolidate_workflows(
-                tree, workflow_for_rectified_failures=flag
-            ):
-                for entry in workflow.entries:
-                    goal = tree.find(entry.goal_id)
-                    assert goal.is_leaf
-                    assert goal.status is GoalStatus.SUCCESS
+        for workflow in consolidate_workflows(tree):
+            for entry in workflow.entries:
+                goal = tree.find(entry.goal_id)
+                assert goal.is_leaf
+                assert goal.status is GoalStatus.SUCCESS
 
 
 def test_random_trees_match_brute_force_oracle():
@@ -102,12 +83,11 @@ def test_random_trees_match_brute_force_oracle():
     started = time.monotonic()
     for _ in range(1000):
         tree = random_finalized_tree(rng)
-        for flag in (False, True):
-            actual = consolidate_workflows(tree, workflow_for_rectified_failures=flag)
-            expected = oracle_workflows(tree, workflow_for_rectified_failures=flag)
-            assert [workflow_to_dict(w) for w in actual] == [
-                workflow_to_dict(w) for w in expected
-            ]
+        actual = consolidate_workflows(tree)
+        expected = oracle_workflows(tree)
+        assert [workflow_to_dict(w) for w in actual] == [
+            workflow_to_dict(w) for w in expected
+        ]
     assert time.monotonic() - started < 5.0
 
 
@@ -116,13 +96,6 @@ def test_consolidation_is_idempotent():
     first = [workflow_to_dict(w) for w in consolidate_workflows(tree)]
     second = [workflow_to_dict(w) for w in consolidate_workflows(tree)]
     assert first == second
-
-
-def test_workflow_dict_round_trip():
-    workflow = consolidate_workflows(blog_case_tree())[0]
-    assert workflow_to_dict(workflow_from_dict(workflow_to_dict(workflow))) == (
-        workflow_to_dict(workflow)
-    )
 
 
 # -- pipeline consolidation -----------------------------------------------------------

@@ -101,23 +101,6 @@ def test_structured_responses_are_serialized():
     assert json.loads(backend.complete(request("x"))) == {"subgoals": []}
 
 
-def test_replay_from_reset_is_byte_identical():
-    rules = [
-        {"match": "a", "response": "one", "max_uses": 1},
-        {"match": "", "response": "fallback"},
-    ]
-    backend = scripted(rules)
-    prompts = ["a", "a", "b"]
-
-    def run():
-        return [backend.complete(request(p)) for p in prompts], backend.counters.snapshot()
-
-    first = run()
-    backend.reset()
-    second = run()
-    assert first == second
-
-
 def test_reset_counters_zeroes_everything():
     backend = scripted([{"match": "", "response": "ok"}])
     backend.complete(request("x"))

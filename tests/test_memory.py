@@ -30,7 +30,7 @@ PIPELINE_PAYLOAD = {"pipeline_name": "p", "pipeline_purpose": "x",
 def test_embed_empty_text_is_zero_vector():
     embedder = LocalDeterministicEmbedder(dimension=32)
     embedding = embedder.embed("")
-    assert embedding.is_zero
+    assert not embedding.values.any()
     assert embedding.dimension == 32
 
 
@@ -375,7 +375,7 @@ def test_a_version_1_snapshot_loads_like_its_version_2_save(tmp_path_factory, co
 
 
 def test_save_of_a_key_text_that_is_not_a_string_is_the_indented_json_of_to_dict(tmp_path):
-    # a hand-written snapshot may load one
+    # an embedder other than the token hash may accept one
     memory = ExperienceMemory(embedder=QueueEmbedder(2, [np.array([0.0, 1.0])]))
     memory.store(RecordKind.WORKFLOW, ["a", {"b": None}], {"entries": []})
     path = tmp_path / "memory.json"
@@ -429,6 +429,27 @@ def test_load_rejects_a_bad_snapshot(tmp_path, records, error):
     path = _write_snapshot(tmp_path, records)
     with pytest.raises(error):
         ExperienceMemory.load(path, embedder=LocalDeterministicEmbedder(dimension=4))
+
+
+@pytest.mark.parametrize("record_id", [1.5, True, "7"], ids=["float", "bool", "string"])
+def test_load_rejects_an_id_that_is_not_an_integer(tmp_path, record_id):
+    path = _write_snapshot(tmp_path, [_raw_record(record_id)])
+    with pytest.raises(ValueError, match=f"record id {record_id!r} is not an integer"):
+        ExperienceMemory.load(path, embedder=LocalDeterministicEmbedder(dimension=4))
+
+
+@pytest.mark.parametrize("key_text", [5, None, ["key"]], ids=["int", "null", "list"])
+def test_load_rejects_a_key_text_that_is_not_a_string(tmp_path, key_text):
+    path = _write_snapshot(tmp_path, [{**_raw_record(1), "key_text": key_text}])
+    with pytest.raises(ValueError, match="record 1 has a key_text that is not a string"):
+        ExperienceMemory.load(path, embedder=LocalDeterministicEmbedder(dimension=4))
+
+
+def test_load_of_a_deeply_nested_document_raises_value_error(tmp_path):
+    path = tmp_path / "memory.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(ValueError, match="nests too deeply"):
+        ExperienceMemory.load(str(path), embedder=LocalDeterministicEmbedder(dimension=4))
 
 
 def _write_v2_snapshot(tmp_path, embeddings, version=2, dimension=4):

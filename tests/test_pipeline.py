@@ -14,7 +14,6 @@ from ice.pipeline import (
     PipelineEdge,
     PipelineNode,
     dumps_pipeline,
-    loads_pipeline,
     pipeline_from_dict,
     pipeline_to_dict,
     validate_document,
@@ -41,11 +40,11 @@ def test_golden_documents_validate_clean(path):
 @pytest.mark.parametrize("path", GOLDENS, ids=lambda p: p.stem)
 def test_golden_documents_round_trip_bit_identically(path):
     original = path.read_text(encoding="utf-8")
-    assert dumps_pipeline(loads_pipeline(original)) == original
+    assert dumps_pipeline(pipeline_from_dict(json.loads(original))) == original
 
 
 def test_linear_golden_shape():
-    pipeline = loads_pipeline(GOLDENS[0].read_text(encoding="utf-8"))
+    pipeline = pipeline_from_dict(load_golden(GOLDENS[0]))
     assert len(pipeline.nodes) == 6
     assert len(pipeline.edges) == 5
     tool_nodes = [n for n in pipeline.nodes if n.node_type is NodeType.TOOL_SERVER]
@@ -55,7 +54,7 @@ def test_linear_golden_shape():
 
 
 def test_switch_golden_has_out_degree_two():
-    pipeline = loads_pipeline(GOLDENS[1].read_text(encoding="utf-8"))
+    pipeline = pipeline_from_dict(load_golden(GOLDENS[1]))
     assert len(pipeline.nodes) == 7
     assert len(pipeline.edges) == 7
     assert len(pipeline.outgoing("product_detail")) == 2
@@ -232,7 +231,7 @@ def test_mutations_match_reachability_oracle():
 
     def all_paths(pipeline):
         start = pipeline.start_node().node_name
-        end = pipeline.end_node().node_name
+        end = next(n.node_name for n in pipeline.nodes if n.node_type is NodeType.END)
         paths, stack = [], [(start, (start,))]
         while stack:
             node, path = stack.pop()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import finish, g, blog_case_tree
+from helpers import finish, g
 from ice.errors import (
     CannotAddSiblingToRoot,
     IllegalTransition,
@@ -270,32 +270,7 @@ def test_status_full_transition_matrix():
                 tree.set_status(g("1"), target)
 
 
-# -- successful_set -------------------------------------------------------------------
-
-
-def test_successful_set_blog_case():
-    tree = blog_case_tree()
-    assert tree.successful_set() == {g("root"), g("1"), g("2-2"), g("2-3"), g("3")}
-
-
-def test_successful_set_all_pending_is_empty():
-    tree = new_plan("root", [("a", []), ("b", [])])
-    assert tree.successful_set() == set()
-
-
-def test_successful_set_matches_flat_filter():
-    rng = random.Random(3)
-    for _ in range(30):
-        tree = new_plan("root", [(f"s{i}", []) for i in range(rng.randint(1, 4))])
-        for goal in list(tree.goals()):
-            if rng.random() < 0.5:
-                finish(tree, goal.id.render(),
-                       rng.choice([GoalStatus.SUCCESS, GoalStatus.FAILURE]))
-        flat = {goal.id for goal in tree.goals() if goal.status is GoalStatus.SUCCESS}
-        assert tree.successful_set() == flat
-
-
-# -- bookkeeping and serialization -----------------------------------------------------
+# -- bookkeeping -----------------------------------------------------------------------
 
 
 def test_rectification_count_tracks_logged_events():
@@ -306,26 +281,6 @@ def test_rectification_count_tracks_logged_events():
     tree.add_goal(g("1-1"), ("y", []))
     assert tree.rectification_count == 2
     assert [ev.sequence_no for ev in tree.log] == [1, 2]
-
-
-def test_plan_json_round_trip_is_lossless():
-    tree = blog_case_tree()
-    restored = PlanTree.from_json(tree.to_json())
-    assert restored.to_json() == tree.to_json()
-    assert restored.successful_set() == tree.successful_set()
-    assert [ev.sequence_no for ev in restored.log] == [1, 2, 3]
-
-
-def test_plan_from_dict_rejects_misparented_children():
-    doc = {
-        "id": "root", "description": "r", "milestones": [], "status": "pending",
-        "children": [
-            {"id": "2-1", "description": "bad", "milestones": [],
-             "status": "pending", "children": []}
-        ],
-    }
-    with pytest.raises(InvalidGoal):
-        PlanTree.from_dict(doc)
 
 
 def test_random_split_add_sequences_keep_invariants():
