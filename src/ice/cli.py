@@ -110,14 +110,15 @@ def _load_memory(path: str | None) -> ExperienceMemory:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    # every task file is checked before the first task spends a backend call
+    tasks = [TaskSpec.from_file(path) for path in args.tasks]
     backend = build_backend(args.backend)
     memory = _load_memory(args.memory)
     config = _run_config(args, RunMode.TRAIN)
     reports = []
     failures = []
     backend_failed = False
-    for path in args.tasks:
-        task = TaskSpec.from_file(path)
+    for task in tasks:
         try:
             reports.append(run_task(task, memory, backend, config))
         except IceError as exc:

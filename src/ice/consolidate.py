@@ -19,14 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import ConsolidationFailed, PipelineSchemaError, UnfinalizedTree
-from .llm import (
-    CallTag,
-    CompletionRequest,
-    LlmBackend,
-    Message,
-    Role,
-    complete_parsed,
-)
+from .llm import CallTag, LlmBackend, complete_parsed
 from .pipeline import (
     NodeType,
     PipelineAutomaton,
@@ -323,17 +316,13 @@ def consolidation_system_prompt() -> str:
     return _SYSTEM_TEMPLATE.replace("{examples}", examples)
 
 
-def build_consolidation_request(traj: Trajectory, goal: Goal) -> CompletionRequest:
+def consolidation_user_text(traj: Trajectory, goal: Goal) -> str:
+    """The user message asking for one trajectory's pipeline."""
     records = [(s.tool_name, s.tool_args, s.tool_output) for s in traj.steps]
-    user = (
+    return (
         f"Query: {goal.description}\n\n"
         f"Execution Trajectory:\n\n{render_tool_records(records)}\n\n"
         "Pipeline:"
-    )
-    return CompletionRequest(
-        system=consolidation_system_prompt(),
-        messages=(Message(Role.USER, user),),
-        tag=CallTag.CONSOLIDATION,
     )
 
 
@@ -385,7 +374,6 @@ def consolidate_pipeline(
     """
     if traj.final_status is not TrajectoryStatus.SUCCESS:
         raise ValueError("only successful trajectories are consolidated")
-    request = build_consolidation_request(traj, goal)
     known_tools = {s.tool_name for s in traj.steps}
 
     def parse(reply: str) -> PipelineAutomaton:
@@ -415,6 +403,6 @@ def consolidate_pipeline(
         return (f"The pipeline document has these problems:\n- {problems}\n"
                 "Reply again with one corrected JSON pipeline document.")
 
-    return complete_parsed(backend, request.system, request.messages[0].content,
-                           CallTag.CONSOLIDATION, parse, ConsolidationFailed,
-                           repair_limit, retry)
+    return complete_parsed(backend, consolidation_system_prompt(),
+                           consolidation_user_text(traj, goal), CallTag.CONSOLIDATION,
+                           parse, ConsolidationFailed, repair_limit, retry)

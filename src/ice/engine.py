@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Container, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from .consolidate import (
     DEFAULT_REPAIR_LIMIT,
@@ -28,7 +28,6 @@ from .consolidate import (
     workflow_to_dict,
 )
 from .env import (
-    MilestoneKind,
     SimulatedEnvironment,
     build_environment,
     evaluate_milestones,
@@ -36,7 +35,6 @@ from .env import (
 )
 from .errors import (
     BackendError,
-    BadPredicate,
     IceError,
     InvalidGoal,
     PipelineRunFailed,
@@ -162,7 +160,8 @@ class TaskSpec:
     per-subgoal milestone overrides keyed by subgoal description.
 
     Every override is parsed when the spec is made, so a bad predicate raises
-    ``BadPredicate`` here rather than when its subgoal is judged."""
+    ``BadPredicate`` (a ``ValueError``) here rather than when its subgoal is
+    judged."""
 
     task_id: str
     goal: str
@@ -171,20 +170,27 @@ class TaskSpec:
     base_dir: Path | None = None
 
     def __post_init__(self) -> None:
-        for milestones in self.milestones.values():
-            for milestone in milestones:
-                parse_predicate(milestone)
+        self.milestones = {description: _milestone_list(milestones)
+                           for description, milestones in self.milestones.items()}
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TaskSpec":
         path = Path(path)
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not (isinstance(doc, dict)
+                and isinstance(doc.get("id"), str)
+                and isinstance(doc.get("goal"), str)
+                and isinstance(doc.get("env_setup", []), list)
+                and isinstance(doc.get("milestones", {}), dict)):
+            raise ValueError(
+                f"{path}: a task file is an object with a string id and goal, "
+                "an env_setup list and a milestones object")
         return cls(
             task_id=doc["id"],
             goal=doc["goal"],
-            env_setup=list(doc.get("env_setup", [])),
-            milestones={k: list(v) for k, v in doc.get("milestones", {}).items()},
+            env_setup=doc.get("env_setup", []),
+            milestones=doc.get("milestones", {}),
             base_dir=path.parent,
         )
 
@@ -304,45 +310,30 @@ def render_react_prompt(goal: Goal, traj: Trajectory) -> str:
 # -- reply parsing ---------------------------------------------------------------
 
 
-def parse_plan_reply(
-    text: str, custom_names: Container[str]
-) -> list[tuple[str, list[str]]]:
+def parse_plan_reply(text: str) -> list[tuple[str, list[str]]]:
     doc = extract_json_document(text)
     subgoals = doc.get("subgoals")
     if not isinstance(subgoals, list):
         raise ValueError('the reply needs a "subgoals" list')
-    return _parse_subgoals(subgoals, custom_names)
+    return _parse_subgoals(subgoals)
 
 
-def _check_milestones(milestones: Iterable[str], custom_names: Container[str]) -> None:
-    """Raise ``BadPredicate`` unless every milestone parses and each
-    ``custom:`` one names one of ``custom_names``, the predicates the task's
-    environment has registered."""
-    for milestone in milestones:
-        predicate = parse_predicate(milestone)
-        if (predicate.kind is MilestoneKind.CUSTOM
-                and predicate.params[0] not in custom_names):
-            raise BadPredicate(
-                f"no custom predicate registered as {predicate.params[0]!r}")
+def _milestone_list(value: Any) -> list[str]:
+    """A copy of ``value`` when it is a list of milestone texts that each
+    parse; otherwise ``ValueError`` (``BadPredicate`` for a text)."""
+    if not isinstance(value, list) or any(not isinstance(m, str) for m in value):
+        raise ValueError("milestones must be a list of strings")
+    for milestone in value:
+        parse_predicate(milestone)
+    return list(value)
 
 
-def _parse_subgoals(
-    items: list[Any], custom_names: Container[str]
-) -> list[tuple[str, list[str]]]:
+def _parse_subgoals(items: list[Any]) -> list[tuple[str, list[str]]]:
     parsed = []
     for item in items:
         if not isinstance(item, dict) or not isinstance(item.get("description"), str):
             raise ValueError("every subgoal needs a string description")
-        milestones = item.get("milestones", [])
-        if not isinstance(milestones, list) or any(
-            not isinstance(m, str) for m in milestones
-        ):
-            raise ValueError("milestones must be a list of strings")
-        try:
-            _check_milestones(milestones, custom_names)
-        except BadPredicate as exc:
-            raise ValueError(str(exc)) from exc
-        parsed.append((item["description"], list(milestones)))
+        parsed.append((item["description"], _milestone_list(item.get("milestones", []))))
     return parsed
 
 
@@ -353,7 +344,7 @@ class RectifyAction:
     subgoals: tuple[tuple[str, list[str]], ...]
 
 
-def parse_rectify_reply(text: str, custom_names: Container[str]) -> list[RectifyAction]:
+def parse_rectify_reply(text: str) -> list[RectifyAction]:
     doc = extract_json_document(text)
     raw_actions = doc.get("actions")
     if not isinstance(raw_actions, list) or not raw_actions:
@@ -374,7 +365,7 @@ def parse_rectify_reply(text: str, custom_names: Container[str]) -> list[Rectify
         subgoals = raw.get("subgoals")
         if not isinstance(subgoals, list) or not subgoals:
             raise ValueError("actions need a non-empty subgoals list")
-        parsed = _parse_subgoals(subgoals, custom_names)
+        parsed = _parse_subgoals(subgoals)
         try:
             anchor_id = GoalId.parse(anchor)
         except InvalidGoal as exc:
@@ -434,8 +425,6 @@ class TaskRunner:
         self.environment = environment or build_environment(
             task.env_setup, task.base_dir
         )
-        for milestones in task.milestones.values():
-            _check_milestones(milestones, self.environment.custom_predicates)
         self.tree: PlanTree | None = None
         self.outcomes: list[SubgoalOutcome] = []
         self._achieved: dict[str, bool] = {}
@@ -457,12 +446,11 @@ class TaskRunner:
                 RecordKind.WORKFLOW, self.task.goal, self.config.workflow_threshold
             )
         user = render_plan_prompt(self.task.goal, reference)
-        custom_names = self.environment.custom_predicates.keys()
         subgoals = self._complete_parsed(
             PLANNING_SYSTEM,
             user,
             CallTag.PLANNING,
-            lambda text: parse_plan_reply(text, custom_names),
+            parse_plan_reply,
             PlanParseError,
         )
         self.tree = new_plan(self.task.goal, subgoals)
@@ -506,9 +494,7 @@ class TaskRunner:
                         anchor = tree.log[-1].introduced[0]
 
         def parse_and_stage(text: str) -> list[RectifyAction]:
-            actions = parse_rectify_reply(
-                text, self.environment.custom_predicates.keys()
-            )
+            actions = parse_rectify_reply(text)
             # dry-run on a copy so a half-applicable reply cannot corrupt the
             # live tree before the repair re-prompt
             try:

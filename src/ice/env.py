@@ -78,11 +78,9 @@ class SimulatedEnvironment:
         self,
         tools: list[ToolSpec] | None = None,
         world: WorldState | None = None,
-        custom_predicates: dict[str, Callable[[WorldState], bool]] | None = None,
     ) -> None:
         self._tools: dict[str, ToolSpec] = {}
         self.world = world or WorldState()
-        self.custom_predicates = dict(custom_predicates or {})
         for tool in tools or []:
             self.register(tool)
 
@@ -132,7 +130,6 @@ class MilestoneKind(str, Enum):
     FILE_EXISTS = "file_exists"
     FILE_CONTAINS = "file_contains"
     TOOL_CALLED = "tool_called"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -147,7 +144,6 @@ def parse_predicate(text: str) -> MilestonePredicate:
     - ``file_exists:<path>``
     - ``file_contains:<path>:<needle>``
     - ``tool_called:<name>`` or ``tool_called:<name>:<min_count>``
-    - ``custom:<registered name>``
     """
     head, _, rest = text.partition(":")
     if head == MilestoneKind.FILE_EXISTS.value and rest:
@@ -162,8 +158,6 @@ def parse_predicate(text: str) -> MilestonePredicate:
             return MilestonePredicate(MilestoneKind.TOOL_CALLED, (name, "1"))
         if count.isdecimal():
             return MilestonePredicate(MilestoneKind.TOOL_CALLED, (name, count))
-    if head == MilestoneKind.CUSTOM.value and rest:
-        return MilestonePredicate(MilestoneKind.CUSTOM, (rest,))
     raise BadPredicate(f"cannot parse milestone predicate {text!r}")
 
 
@@ -174,19 +168,14 @@ def _predicate_holds(pred: MilestonePredicate, env: SimulatedEnvironment) -> boo
     if pred.kind is MilestoneKind.FILE_CONTAINS:
         path, needle = pred.params
         return needle in world.files.get(path, "")
-    if pred.kind is MilestoneKind.TOOL_CALLED:
-        name, min_count = pred.params
-        # only clean invocations count toward the milestone
-        calls = sum(
-            1
-            for rec in world.invocation_log
-            if rec.tool == name and rec.outcome is StepOutcome.OK
-        )
-        return calls >= int(min_count)
-    fn = env.custom_predicates.get(pred.params[0])
-    if fn is None:
-        raise BadPredicate(f"no custom predicate registered as {pred.params[0]!r}")
-    return bool(fn(world))
+    name, min_count = pred.params
+    # only clean invocations count toward the milestone
+    calls = sum(
+        1
+        for rec in world.invocation_log
+        if rec.tool == name and rec.outcome is StepOutcome.OK
+    )
+    return calls >= int(min_count)
 
 
 def evaluate_milestones(milestones: list[str], env: SimulatedEnvironment) -> bool:

@@ -98,8 +98,9 @@ class UnknownTool(IceError):
     """Invoking a tool name that is not registered."""
 
 
-class BadPredicate(IceError):
-    """A milestone predicate could not be parsed or resolved."""
+class BadPredicate(IceError, ValueError):
+    """A milestone predicate could not be parsed. A ``ValueError`` too, so
+    the repair loop re-prompts on it and the CLI reports it as bad input."""
 
 
 # --- task engine --------------------------------------------------------

@@ -428,6 +428,9 @@ class ExperienceMemory:
         return self._embedder.embed(text)
 
     def store(self, kind: RecordKind, key_text: str, payload: dict[str, Any]) -> int:
+        # a snapshot holding any other key text would not load
+        if not isinstance(key_text, str):
+            raise ValueError(f"a key_text must be a string, got {type(key_text).__name__}")
         _check_payload(kind, payload)
         embedding = self.embed(key_text)
         if embedding.dimension != self.dimension:

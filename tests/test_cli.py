@@ -12,7 +12,7 @@ from ice.errors import HttpBackendError, PlanParseError, TaskAborted
 from ice.memory import ExperienceMemory
 from ice.pipeline import dumps_pipeline, pipeline_from_dict
 from ice.trajectory import Step, StepOutcome, Trajectory, TrajectoryStatus, write_trajectory_log
-from helpers import g
+from helpers import g, scripted
 
 SCENARIO = str(SUITE_DIR / "scenario.json")
 TRAIN_TASKS = sorted(str(p) for p in (SUITE_DIR / "tasks").glob("train_*.json"))
@@ -106,6 +106,36 @@ def test_train_exit_code_follows_the_error_type(tmp_path, capsys, monkeypatch, e
     assert main(["train", TRAIN_TASKS[0], "--backend", f"scripted:{SCENARIO}",
                  "--out", str(tmp_path / "out.json")]) == code
     capsys.readouterr()
+
+
+MALFORMED_TASKS = {
+    "no-goal": {"id": "t"},
+    "list": [],
+    "integer-milestone": {"id": "t", "goal": "g", "milestones": {"a": [5]}},
+    "string-milestones": {"id": "t", "goal": "g", "milestones": {"a": "file_exists:x"}},
+    "unparseable-milestone": {"id": "t", "goal": "g", "milestones": {"a": ["bogus"]}},
+    "custom-milestone": {"id": "t", "goal": "g", "milestones": {"a": ["custom:has_notes"]}},
+}
+
+
+@pytest.mark.parametrize("doc", list(MALFORMED_TASKS.values()), ids=list(MALFORMED_TASKS))
+def test_run_of_a_malformed_task_file_exits_one(tmp_path, capsys, doc):
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--backend", f"scripted:{SCENARIO}"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_train_with_a_malformed_later_task_file_makes_no_backend_call(
+        tmp_path, capsys, monkeypatch):
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps(MALFORMED_TASKS["unparseable-milestone"]))
+    backend = scripted([])
+    monkeypatch.setattr("ice.cli.build_backend", lambda spec: backend)
+    assert main(["train", TRAIN_TASKS[0], str(path), "--backend", f"scripted:{SCENARIO}",
+                 "--out", str(tmp_path / "out.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert backend.counters.snapshot()["all"] == 0
 
 
 def test_run_single_task_in_exploit_mode(tmp_path, capsys):

@@ -17,16 +17,15 @@ from helpers import (
 )
 from ice.consolidate import (
     DEMONSTRATIONS,
-    build_consolidation_request,
     consolidate_pipeline,
     consolidate_workflows,
     consolidation_system_prompt,
+    consolidation_user_text,
     extract_json_document,
     render_tool_records,
     workflow_to_dict,
 )
 from ice.errors import ConsolidationFailed, UnfinalizedTree
-from ice.llm import CallTag
 import ice.pipeline
 from ice.pipeline import dumps_pipeline, pipeline_to_dict, validate_document
 from ice.plan import GoalStatus, new_plan
@@ -125,9 +124,7 @@ def test_system_prompt_embeds_both_demonstrations():
 
 def test_request_renders_tool_records_with_query_header():
     traj, goal = demo_trajectory(0)
-    request = build_consolidation_request(traj, goal)
-    assert request.tag is CallTag.CONSOLIDATION
-    user = request.messages[0].content
+    user = consolidation_user_text(traj, goal)
     assert user.startswith(f"Query: {goal.description}")
     assert 'Tool Arguments: {"sku": "W003247135"}' in user
     assert user.rstrip().endswith("Pipeline:")

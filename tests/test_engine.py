@@ -369,24 +369,6 @@ def test_unparseable_milestone_is_re_prompted_before_the_run():
     assert [o.success for o in report.outcomes] == [True]
 
 
-def test_unregistered_custom_milestone_is_re_prompted_before_the_run():
-    runner = make_runner([
-        {"match": "Could not apply that reply", "response": {"subgoals": [
-            {"description": "write notes", "milestones": ["custom:has_notes"]}]}},
-        {"match": "Goal:", "response": {"subgoals": [
-            {"description": "write notes", "milestones": ["custom:nothing"]}]}},
-        {"match": "Subgoal: write notes\nCompleted steps: 0",
-         "response": step_reply("FileSystemEnv_write_to_file",
-                                filepath="notes.txt", content="notes")},
-        {"match": "Subgoal: write notes\nCompleted steps: 1", "response": TERMINATE},
-    ])
-    runner.environment.custom_predicates["has_notes"] = lambda world: "notes.txt" in world.files
-    report = runner.run()
-    assert runner.backend.counters.by_tag(CallTag.PLANNING) == 2
-    assert report.plan.find(g("1")).milestones == ["custom:has_notes"]
-    assert [o.success for o in report.outcomes] == [True]
-
-
 def test_a_count_of_non_decimal_digits_is_re_prompted_before_the_run():
     runner = make_runner([
         {"match": "Could not apply that reply", "response": {"subgoals": [
@@ -512,7 +494,7 @@ def test_rectify_invalid_target_feeds_repair_and_tree_stays_intact():
     {"kind": "split", "target": "2", "subgoals": [
         {"description": "bad", "milestones": ["custom:nothing"]}]},
 ], ids=["action-not-an-object", "malformed-goal-id", "string-milestones",
-        "unparseable-milestone", "unregistered-custom-milestone"])
+        "unparseable-milestone", "custom-milestone"])
 def test_malformed_rectify_reply_is_re_prompted(bad_action):
     runner = failed_leaf_runner([
         {"match": "Could not apply that reply", "response": {"actions": [
@@ -724,19 +706,10 @@ def test_bad_milestone_override_fails_when_the_task_file_loads(tmp_path):
         TaskSpec.from_file(path)
     with pytest.raises(BadPredicate):
         TaskSpec(task_id="t", goal="g", milestones={"a": ["file_exists:x", "bogus"]})
+    with pytest.raises(BadPredicate):
+        TaskSpec(task_id="t", goal="g", milestones={"write notes": ["custom:has_notes"]})
     ok = TaskSpec(task_id="t", goal="g", milestones={"a": ["file_exists:x"]})
     assert ok.milestones == {"a": ["file_exists:x"]}
-
-
-def test_unregistered_custom_override_fails_before_any_backend_call():
-    task = TaskSpec(task_id="t", goal="g",
-                    milestones={"write notes": ["custom:has_notes"]})
-    backend = scripted([{"match": "", "response": TERMINATE}])
-    with pytest.raises(BadPredicate, match="has_notes"):
-        run_task(task, ExperienceMemory(), backend, RunConfig())
-    assert backend.counters.snapshot()["all"] == 0
-    env = SimulatedEnvironment(custom_predicates={"has_notes": lambda world: True})
-    TaskRunner(task, ExperienceMemory(), backend, RunConfig(), environment=env)
 
 
 # -- full task runs ---------------------------------------------------------------------

@@ -152,18 +152,9 @@ def test_zero_predicates_hold_vacuously():
     assert evaluate_milestones([], make_env())
 
 
-def test_custom_predicate_registry():
-    env = make_env()
-    env.custom_predicates["has_two_files"] = lambda world: len(world.files) >= 2
-    assert not evaluate_milestones(["custom:has_two_files"], env)
-    env.world.files.update({"a": "", "b": ""})
-    assert evaluate_milestones(["custom:has_two_files"], env)
-    with pytest.raises(BadPredicate):
-        evaluate_milestones(["custom:not_registered"], env)
-
-
 def test_unparseable_predicate_raises():
-    for bad in ("file_exists", "nonsense:x", "tool_called:", "file_contains:only_path"):
+    for bad in ("file_exists", "nonsense:x", "tool_called:", "file_contains:only_path",
+                "custom:has_notes"):
         with pytest.raises(BadPredicate):
             parse_predicate(bad)
 

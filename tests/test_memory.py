@@ -374,14 +374,14 @@ def test_a_version_1_snapshot_loads_like_its_version_2_save(tmp_path_factory, co
     assert resaved_path.read_bytes() == v2_path.read_bytes()
 
 
-def test_save_of_a_key_text_that_is_not_a_string_is_the_indented_json_of_to_dict(tmp_path):
-    # an embedder other than the token hash may accept one
-    memory = ExperienceMemory(embedder=QueueEmbedder(2, [np.array([0.0, 1.0])]))
-    memory.store(RecordKind.WORKFLOW, ["a", {"b": None}], {"entries": []})
-    path = tmp_path / "memory.json"
-    memory.save(str(path))
-    expected = json.dumps(memory.to_dict(), indent=2, ensure_ascii=False) + "\n"
-    assert path.read_text(encoding="utf-8") == expected
+@pytest.mark.parametrize("embedder", [None, QueueEmbedder(2, [np.array([0.0, 1.0])])],
+                         ids=["token-hash", "queue"])
+def test_store_refuses_a_key_text_that_is_not_a_string(embedder):
+    # load refuses such a record, so a snapshot holding one would not load
+    memory = ExperienceMemory(embedder=embedder)
+    with pytest.raises(ValueError, match="key_text must be a string"):
+        memory.store(RecordKind.WORKFLOW, ["a", {"b": None}], {"entries": []})
+    assert len(memory) == 0
 
 
 def test_save_of_a_lone_surrogate_raises_and_keeps_the_old_snapshot(tmp_path):

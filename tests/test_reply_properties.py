@@ -14,16 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ice.engine import parse_plan_reply, parse_rectify_reply, parse_react_reply
-from ice.env import (
-    MilestoneKind,
-    SimulatedEnvironment,
-    builtin_toolkit,
-    evaluate_milestones,
-    parse_predicate,
-)
+from ice.env import SimulatedEnvironment, builtin_toolkit, evaluate_milestones, parse_predicate
 from ice.errors import BadPredicate
-
-CUSTOM_NAMES = {"has_notes"}
 
 _KEYS = st.sampled_from([
     "subgoals", "description", "milestones", "actions", "kind", "target",
@@ -72,8 +64,8 @@ def _returns_or_raises_value_error(parse, text):
 @example('{"actions": [{"kind": "split", "target": "0", "subgoals": [{"description": "d"}]}]}')
 @example('{"thought": "t", "tool_name": "x", "tool_args": []}')
 def test_every_reply_parser_returns_or_raises_value_error(text):
-    _returns_or_raises_value_error(lambda t: parse_plan_reply(t, CUSTOM_NAMES), text)
-    _returns_or_raises_value_error(lambda t: parse_rectify_reply(t, CUSTOM_NAMES), text)
+    _returns_or_raises_value_error(parse_plan_reply, text)
+    _returns_or_raises_value_error(parse_rectify_reply, text)
     _returns_or_raises_value_error(parse_react_reply, text)
 
 
@@ -84,11 +76,8 @@ def test_every_reply_parser_returns_or_raises_value_error(text):
 @example("tool_called:x:\u0663")
 def test_a_parsed_milestone_can_always_be_judged(text):
     try:
-        predicate = parse_predicate(text)
+        parse_predicate(text)
     except BadPredicate:
         return
     env = SimulatedEnvironment(tools=builtin_toolkit())
-    if predicate.kind is MilestoneKind.CUSTOM:
-        # a registered name is what lets a custom: milestone past the engine
-        env.custom_predicates[predicate.params[0]] = lambda world: False
     assert evaluate_milestones([text], env) in (True, False)
