@@ -20,13 +20,11 @@ Metrics follow the same definitions everywhere:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
 from .engine import (
-    DEFAULT_MAX_REACT_STEPS,
-    DEFAULT_RETRIEVAL_THRESHOLD,
     ExecutionMethod,
     RunConfig,
     RunMode,
@@ -51,7 +49,7 @@ __all__ = [
     "ArmResult",
     "BenchResult",
     "compute_metrics",
-    "run_training",
+    "run_arm",
     "run_bench",
     "build_backend",
     "format_table",
@@ -76,13 +74,7 @@ class MetricsReport:
             raise ValueError("rates are percentages in [0, 100]")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "api_calls_all": self.api_calls_all,
-            "api_calls_tools": self.api_calls_tools,
-            "completion_rate_pct": self.completion_rate_pct,
-            "rectification_times": self.rectification_times,
-            "reutilization_rate_pct": self.reutilization_rate_pct,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -104,9 +96,7 @@ class BenchSpec:
     test_tasks: list[Path]
     arms: list[ArmSpec]
     backend: str
-    pipeline_threshold: float = DEFAULT_RETRIEVAL_THRESHOLD
-    workflow_threshold: float = DEFAULT_RETRIEVAL_THRESHOLD
-    max_react_steps: int = DEFAULT_MAX_REACT_STEPS
+    config: RunConfig = field(default_factory=RunConfig)  # shared by every arm
     base_dir: Path | None = None  # scripted scenario paths resolve against this
 
     def __post_init__(self) -> None:
@@ -118,6 +108,20 @@ class BenchSpec:
         path = Path(path)
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not (isinstance(doc, dict)
+                and isinstance(doc.get("backend"), str)
+                and all(_is_str_list(doc.get(key, [])) for key in ("train_tasks", "test_tasks"))
+                and isinstance(doc.get("arms"), list) and doc["arms"]
+                and all(map(_is_arm, doc["arms"]))):
+            raise ValueError(
+                f"{path}: a bench spec is an object with a string backend, lists of task "
+                "paths and a non-empty list of arms, each an object with a string name")
+        try:
+            config = RunConfig(**{key: doc[key] for key in (
+                "pipeline_threshold", "workflow_threshold", "max_react_steps") if key in doc})
+        except ValueError as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
         base = path.parent
         return cls(
             train_tasks=[base / p for p in doc.get("train_tasks", [])],
@@ -125,19 +129,32 @@ class BenchSpec:
             arms=[
                 ArmSpec(
                     name=a["name"],
-                    planning_ice=bool(a.get("planning_ice", False)),
-                    execution_ice=bool(a.get("execution_ice", False)),
+                    planning_ice=a.get("planning_ice", False),
+                    execution_ice=a.get("execution_ice", False),
                     train_limit=a.get("train_limit"),
                     backend=a.get("backend"),
                 )
                 for a in doc["arms"]
             ],
             backend=doc["backend"],
-            pipeline_threshold=float(doc.get("pipeline_threshold", DEFAULT_RETRIEVAL_THRESHOLD)),
-            workflow_threshold=float(doc.get("workflow_threshold", DEFAULT_RETRIEVAL_THRESHOLD)),
-            max_react_steps=int(doc.get("max_react_steps", DEFAULT_MAX_REACT_STEPS)),
+            config=config,
             base_dir=base,
         )
+
+
+def _is_str_list(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_arm(raw: Any) -> bool:
+    """An arm object: a string name, and optional flags, training cap and
+    backend of the types ``ArmSpec`` holds (a bool is no training cap)."""
+    return (isinstance(raw, dict)
+            and isinstance(raw.get("name"), str)
+            and isinstance(raw.get("planning_ice", False), bool)
+            and isinstance(raw.get("execution_ice", False), bool)
+            and type(raw.get("train_limit", 0)) in (int, type(None))
+            and isinstance(raw.get("backend", ""), (str, type(None))))
 
 
 @dataclass
@@ -221,39 +238,17 @@ def build_backend(spec: str, base_dir: Path | None = None) -> LlmBackend:
     raise ValueError(f"unknown backend spec {spec!r}; use scripted:<file> or http")
 
 
-def run_training(
-    task_paths: list[Path],
-    memory: ExperienceMemory,
-    backend: LlmBackend,
-    config: RunConfig,
-) -> list[TaskRunReport]:
-    """Run tasks in train mode, collecting per-task reports. An error in
-    any task propagates and ends the run."""
-    reports = []
-    for path in task_paths:
-        task = TaskSpec.from_file(path)
-        reports.append(run_task(task, memory, backend, config))
-    return reports
-
-
 def run_arm(spec: BenchSpec, arm: ArmSpec) -> ArmResult:
+    """Train a fresh memory, then measure the test tasks; an error in any task ends the arm."""
     backend = build_backend(arm.backend or spec.backend, base_dir=spec.base_dir)
     memory = ExperienceMemory()
-    train_config = RunConfig(
-        mode=RunMode.TRAIN,
-        pipeline_threshold=spec.pipeline_threshold,
-        workflow_threshold=spec.workflow_threshold,
-        max_react_steps=spec.max_react_steps,
-    )
-    test_config = replace(train_config, planning_ice=arm.planning_ice,
+    train_config = replace(spec.config, mode=RunMode.TRAIN)
+    test_config = replace(spec.config, planning_ice=arm.planning_ice,
                           execution_ice=arm.execution_ice, mode=RunMode.EXPLOIT)
 
-    if arm.uses_ice:
-        limit = arm.train_limit if arm.train_limit is not None else len(spec.train_tasks)
-        train_paths = spec.train_tasks[:limit]
-    else:
-        train_paths = []
-    train_reports = run_training(train_paths, memory, backend, train_config)
+    train_paths = spec.train_tasks[:arm.train_limit] if arm.uses_ice else []
+    train_reports = [run_task(TaskSpec.from_file(path), memory, backend, train_config)
+                     for path in train_paths]
 
     backend.reset_counters()
     test_reports = [run_task(TaskSpec.from_file(path), memory, backend, test_config)

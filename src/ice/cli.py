@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .bench import (
@@ -19,13 +20,13 @@ from .bench import (
     run_bench,
 )
 from .consolidate import consolidate_pipeline
-from .engine import (DEFAULT_MAX_REACT_STEPS, DEFAULT_RETRIEVAL_THRESHOLD, RunConfig,
-                     RunMode, TaskSpec, run_task)
+from .engine import RunConfig, RunMode, TaskSpec, run_task
 from .errors import (
     ArmFailed,
     BackendError,
     ConsolidationFailed,
     IceError,
+    PipelineSchemaError,
     TaskAborted,
     UnknownRecord,
 )
@@ -44,15 +45,16 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", default="http",
                         help="scripted:<scenario.json> or http")
     parser.add_argument("--memory", help="memory snapshot file to load and/or save")
+    # a run setting that is not given is left out, so RunConfig supplies its default
     parser.add_argument("--planning-ice", action=argparse.BooleanOptionalAction,
-                        default=False)
+                        default=argparse.SUPPRESS)
     parser.add_argument("--execution-ice", action=argparse.BooleanOptionalAction,
-                        default=False)
-    parser.add_argument("--threshold-pipeline", type=float,
-                        default=DEFAULT_RETRIEVAL_THRESHOLD)
-    parser.add_argument("--threshold-workflow", type=float,
-                        default=DEFAULT_RETRIEVAL_THRESHOLD)
-    parser.add_argument("--max-react-steps", type=int, default=DEFAULT_MAX_REACT_STEPS)
+                        default=argparse.SUPPRESS)
+    parser.add_argument("--threshold-pipeline", dest="pipeline_threshold", type=float,
+                        default=argparse.SUPPRESS)
+    parser.add_argument("--threshold-workflow", dest="workflow_threshold", type=float,
+                        default=argparse.SUPPRESS)
+    parser.add_argument("--max-react-steps", type=int, default=argparse.SUPPRESS)
     parser.add_argument("--out", help="output path")
 
 
@@ -93,14 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config(args: argparse.Namespace, mode: RunMode) -> RunConfig:
-    return RunConfig(
-        planning_ice=args.planning_ice,
-        execution_ice=args.execution_ice,
-        mode=mode,
-        pipeline_threshold=args.threshold_pipeline,
-        workflow_threshold=args.threshold_workflow,
-        max_react_steps=args.max_react_steps,
-    )
+    given = vars(args)
+    return RunConfig(mode=mode, **{f.name: given[f.name] for f in fields(RunConfig)
+                                   if f.name in given})
 
 
 def _load_memory(path: str | None) -> ExperienceMemory:
@@ -152,7 +149,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_BACKEND
     _write_or_print(args.out, json.dumps(report.to_dict(), indent=2,
                                          ensure_ascii=False) + "\n")
-    metrics = compute_metrics([report], include_reutilization=args.execution_ice)
+    metrics = compute_metrics([report], include_reutilization=config.execution_ice)
     print(f"completion {metrics.completion_rate_pct:.2f}% | "
           f"calls {metrics.api_calls_all} | "
           f"rectifications {metrics.rectification_times}", file=sys.stderr)
@@ -251,7 +248,8 @@ def main(argv: list[str] | None = None) -> int:
     except (BackendError, ConsolidationFailed, TaskAborted, ArmFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except (UnknownRecord, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (UnknownRecord, PipelineSchemaError, FileNotFoundError, json.JSONDecodeError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except IceError as exc:

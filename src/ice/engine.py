@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from .consolidate import (
     DEFAULT_REPAIR_LIMIT,
@@ -31,6 +31,7 @@ from .env import (
     SimulatedEnvironment,
     build_environment,
     evaluate_milestones,
+    is_setup_entry,
     parse_predicate,
 )
 from .errors import (
@@ -56,7 +57,6 @@ from .memory import (
 from .pipeline import (
     NodeType,
     PipelineAutomaton,
-    Violation,
     pipeline_from_dict,
     pipeline_to_dict,
     validate_pipeline,
@@ -122,14 +122,17 @@ class RunConfig:
     repair_limit: int = DEFAULT_REPAIR_LIMIT
 
     def __post_init__(self) -> None:
+        # a bool is an int, but no threshold and no count
         for name in ("pipeline_threshold", "workflow_threshold"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if self.max_react_steps < 1:
-            raise ValueError("max_react_steps must be positive")
-        if self.repair_limit < 1:
-            raise ValueError("repair_limit must be positive")
+        for name in ("max_react_steps", "repair_limit"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass
@@ -170,8 +173,14 @@ class TaskSpec:
     base_dir: Path | None = None
 
     def __post_init__(self) -> None:
-        self.milestones = {description: _milestone_list(milestones)
-                           for description, milestones in self.milestones.items()}
+        checked = {}
+        for description, milestones in self.milestones.items():
+            try:
+                checked[description] = _milestone_list(milestones)
+            except ValueError as exc:
+                exc.args = (f"subgoal {description!r}: {exc}",)
+                raise
+        self.milestones = checked
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TaskSpec":
@@ -182,17 +191,22 @@ class TaskSpec:
                 and isinstance(doc.get("id"), str)
                 and isinstance(doc.get("goal"), str)
                 and isinstance(doc.get("env_setup", []), list)
+                and all(map(is_setup_entry, doc.get("env_setup", [])))
                 and isinstance(doc.get("milestones", {}), dict)):
             raise ValueError(
-                f"{path}: a task file is an object with a string id and goal, "
-                "an env_setup list and a milestones object")
-        return cls(
-            task_id=doc["id"],
-            goal=doc["goal"],
-            env_setup=doc.get("env_setup", []),
-            milestones=doc.get("milestones", {}),
-            base_dir=path.parent,
-        )
+                f"{path}: a task file is an object with a string id and goal, an "
+                "env_setup list of dataset or file entries and a milestones object")
+        try:
+            return cls(
+                task_id=doc["id"],
+                goal=doc["goal"],
+                env_setup=doc.get("env_setup", []),
+                milestones=doc.get("milestones", {}),
+                base_dir=path.parent,
+            )
+        except ValueError as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
 
 
 @dataclass
@@ -213,31 +227,16 @@ class TaskRunReport:
         }
 
 
-@dataclass(frozen=True)
-class StoredPipeline:
-    """What a stored pipeline record is worth: its automaton when the payload
-    parses and validates, otherwise ``problem`` says why it cannot be walked.
-    Every hit on the record shares the automaton; walking it never changes it."""
-
-    automaton: PipelineAutomaton | None
-    problem: str = ""
-
-
-def _invalid_pipeline(violations: Sequence[Violation]) -> str:
-    return "pipeline is invalid: " + "; ".join(v.render() for v in violations)
-
-
-def _stored_pipeline(payload: dict[str, Any]) -> StoredPipeline:
-    """Parse and validate a stored payload. ``pipeline_from_dict`` and
-    ``validate_pipeline`` are looked up in this module on every call."""
+def _stored_pipeline(payload: dict[str, Any]) -> PipelineAutomaton | None:
+    """The automaton of a stored payload, or None when the payload does not
+    parse or validate. Every hit on the record shares the automaton; walking
+    it never changes it. ``pipeline_from_dict`` and ``validate_pipeline`` are
+    looked up in this module on every call."""
     try:
         automaton = pipeline_from_dict(payload)
-    except PipelineSchemaError as exc:
-        return StoredPipeline(None, _invalid_pipeline(exc.violations))
-    violations = validate_pipeline(automaton)
-    if violations:
-        return StoredPipeline(None, _invalid_pipeline(violations))
-    return StoredPipeline(automaton)
+    except PipelineSchemaError:
+        return None
+    return None if validate_pipeline(automaton) else automaton
 
 
 # -- prompt rendering ----------------------------------------------------------
@@ -535,7 +534,7 @@ class TaskRunner:
             )
             pipeline = None
             if hit is not None:
-                pipeline = hit[0].derived("pipeline", _stored_pipeline).automaton
+                pipeline = hit[0].derived("pipeline", _stored_pipeline)
             if pipeline is not None:
                 try:
                     traj, ok = self.run_pipeline(pipeline, goal, validated=True)
@@ -610,7 +609,8 @@ class TaskRunner:
         if not validated:
             violations = validate_pipeline(pipeline)
             if violations:
-                raise PipelineRunFailed(_invalid_pipeline(violations))
+                raise PipelineRunFailed(
+                    "pipeline is invalid: " + "; ".join(v.render() for v in violations))
         traj = Trajectory(goal_id=goal.id)
         outputs: list[str] = []
         current = pipeline.start_node()

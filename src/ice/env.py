@@ -28,6 +28,7 @@ __all__ = [
     "parse_predicate",
     "evaluate_milestones",
     "builtin_toolkit",
+    "is_setup_entry",
     "build_environment",
 ]
 
@@ -266,6 +267,18 @@ def builtin_toolkit() -> list[ToolSpec]:
     ]
 
 
+def is_setup_entry(entry: Any) -> bool:
+    """Whether ``entry`` has one of the shapes ``build_environment`` reads."""
+    if not isinstance(entry, dict):
+        return False
+    if "dataset" in entry:
+        return isinstance(entry["dataset"], str) and (
+            "records" in entry or isinstance(entry.get("fixture"), str))
+    file = entry.get("file")
+    return (isinstance(file, dict) and isinstance(file.get("path"), str)
+            and isinstance(file.get("content"), str))
+
+
 def build_environment(
     env_setup: list[dict[str, Any]], base_dir: str | Path | None = None
 ) -> SimulatedEnvironment:
@@ -281,17 +294,15 @@ def build_environment(
     env = SimulatedEnvironment(tools=builtin_toolkit())
     base = Path(base_dir) if base_dir is not None else Path.cwd()
     for entry in env_setup:
+        if not is_setup_entry(entry):
+            raise ValueError(f"unrecognized env_setup entry: {entry}")
         if "dataset" in entry:
             if "records" in entry:
                 records = entry["records"]
-            elif "fixture" in entry:
+            else:
                 with open(base / entry["fixture"], encoding="utf-8") as fh:
                     records = json.load(fh)
-            else:
-                raise ValueError(f"dataset entry needs records or fixture: {entry}")
             env.world.datasets[entry["dataset"]] = records
-        elif "file" in entry:
-            env.world.files[entry["file"]["path"]] = entry["file"]["content"]
         else:
-            raise ValueError(f"unrecognized env_setup entry: {entry}")
+            env.world.files[entry["file"]["path"]] = entry["file"]["content"]
     return env

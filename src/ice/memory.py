@@ -413,7 +413,6 @@ class ExperienceMemory:
         embedder: LocalDeterministicEmbedder | None = None,
     ) -> None:
         self._embedder = embedder or LocalDeterministicEmbedder()
-        self._records: list[MemoryRecord] = []
         self._by_id: dict[int, MemoryRecord] = {}
         self._kinds = {kind: _KindRecords(kind, self.dimension) for kind in RecordKind}
         self._next_id = 1
@@ -440,7 +439,6 @@ class ExperienceMemory:
         with self._lock:
             record = self._kinds[kind].append(self._next_id, key_text, payload, embedding.values)
             self._next_id += 1
-            self._records.append(record)
             self._by_id[record.record_id] = record
             self.stats.writes += 1
         return record.record_id
@@ -480,11 +478,11 @@ class ExperienceMemory:
 
     def records(self, kind: RecordKind | None = None) -> list[MemoryRecord]:
         with self._lock:
-            return list(self._records if kind is None else self._kinds[kind].records)
+            return list(self._by_id.values() if kind is None else self._kinds[kind].records)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._records)
+            return len(self._by_id)
 
     # -- persistence ---------------------------------------------------------
 
@@ -563,7 +561,6 @@ class ExperienceMemory:
                     raise ValueError(
                         f"snapshot has more than one record with id {record.record_id}")
                 store._by_id[record.record_id] = record
-                store._records.append(record)
         except KeyError as exc:
             raise ValueError(f"snapshot lacks the key {exc}") from exc
         except (TypeError, AttributeError, OverflowError) as exc:

@@ -13,12 +13,11 @@ from ice.bench import (
     build_backend,
     compute_metrics,
     format_table,
+    run_arm,
     run_bench,
-    run_training,
 )
-from ice.engine import RunConfig, RunMode
-from ice.llm import ScriptedBackend
-from ice.memory import ExperienceMemory, RecordKind
+from ice.engine import RunConfig
+from ice.memory import RecordKind
 from suite_builder import suite_files
 
 
@@ -134,34 +133,49 @@ def test_bench_runtime_is_well_under_the_budget():
 # -- harness mechanics -----------------------------------------------------------
 
 
-def test_training_command_populates_memory():
+def train_only(arm_spec):
+    """``run_arm`` over the suite's training tasks with no test tasks, so the
+    result's memory holds exactly what training stored."""
     spec = BenchSpec.from_file(SUITE_DIR / "bench.json")
-    memory = ExperienceMemory()
-    backend = build_backend(spec.backend, base_dir=SUITE_DIR)
-    reports = run_training(spec.train_tasks[:2], memory, backend,
-                           RunConfig(mode=RunMode.TRAIN))
-    assert len(reports) == 2
-    assert len(memory.records(RecordKind.PIPELINE)) >= 1
-    assert len(memory.records(RecordKind.WORKFLOW)) >= 1
+    spec.test_tasks = []
+    return run_arm(spec, arm_spec)
+
+
+def test_training_command_populates_memory():
+    result = train_only(ArmSpec(name="two", planning_ice=True, train_limit=2))
+    assert len(result.train_reports) == 2
+    assert len(result.memory.records(RecordKind.PIPELINE)) >= 1
+    assert len(result.memory.records(RecordKind.WORKFLOW)) >= 1
 
 
 def test_training_twice_from_reset_is_deterministic():
-    spec = BenchSpec.from_file(SUITE_DIR / "bench.json")
-
     def snapshot():
-        memory = ExperienceMemory()
-        backend = build_backend(spec.backend, base_dir=SUITE_DIR)
-        run_training(spec.train_tasks, memory, backend, RunConfig(mode=RunMode.TRAIN))
-        return json.dumps(memory.to_dict())
+        result = train_only(ArmSpec(name="all", execution_ice=True))
+        assert len(result.train_reports) == 5
+        return json.dumps(result.memory.to_dict())
 
     assert snapshot() == snapshot()
 
 
 def test_empty_training_list_leaves_memory_empty():
-    memory = ExperienceMemory()
-    backend = ScriptedBackend.__new__(ScriptedBackend)  # never called
-    assert run_training([], memory, backend, RunConfig(mode=RunMode.TRAIN)) == []
-    assert len(memory) == 0
+    for arm_spec in (ArmSpec(name="standard"),
+                     ArmSpec(name="none", planning_ice=True, execution_ice=True,
+                             train_limit=0)):
+        result = train_only(arm_spec)
+        assert result.train_reports == [], arm_spec.name
+        assert len(result.memory) == 0, arm_spec.name
+        assert result.metrics.api_calls_all == 0, arm_spec.name
+
+
+def test_bench_spec_settings_reach_its_run_config(tmp_path):
+    path = tmp_path / "bench.json"
+    doc = {"backend": "http", "arms": [{"name": "a"}]}
+    path.write_text(json.dumps(doc))
+    assert BenchSpec.from_file(path).config == RunConfig()
+    doc.update(pipeline_threshold=0.5, workflow_threshold=1, max_react_steps=3)
+    path.write_text(json.dumps(doc))
+    assert BenchSpec.from_file(path).config == RunConfig(
+        pipeline_threshold=0.5, workflow_threshold=1.0, max_react_steps=3)
 
 
 def test_failing_arm_is_isolated():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ from conftest import DATA_DIR, SUITE_DIR
 from ice.bench import BenchSpec, run_bench
 from ice.cli import main
 from ice.consolidate import DEMONSTRATIONS
+from ice.engine import RunConfig, RunMode
 from ice.errors import HttpBackendError, PlanParseError, TaskAborted
 from ice.memory import ExperienceMemory
 from ice.pipeline import dumps_pipeline, pipeline_from_dict
@@ -16,6 +18,7 @@ from helpers import g, scripted
 
 SCENARIO = str(SUITE_DIR / "scenario.json")
 TRAIN_TASKS = sorted(str(p) for p in (SUITE_DIR / "tasks").glob("train_*.json"))
+TEST_TASK = str(SUITE_DIR / "tasks" / "test_solar_markets.json")
 
 
 def test_usage_error_exits_one(capsys):
@@ -115,6 +118,8 @@ MALFORMED_TASKS = {
     "string-milestones": {"id": "t", "goal": "g", "milestones": {"a": "file_exists:x"}},
     "unparseable-milestone": {"id": "t", "goal": "g", "milestones": {"a": ["bogus"]}},
     "custom-milestone": {"id": "t", "goal": "g", "milestones": {"a": ["custom:has_notes"]}},
+    "integer-env-setup-entry": {"id": "t", "goal": "g", "env_setup": [5]},
+    "string-file-entry": {"id": "t", "goal": "g", "env_setup": [{"file": "x"}]},
 }
 
 
@@ -123,19 +128,44 @@ def test_run_of_a_malformed_task_file_exits_one(tmp_path, capsys, doc):
     path = tmp_path / "task.json"
     path.write_text(json.dumps(doc))
     assert main(["run", str(path), "--backend", f"scripted:{SCENARIO}"]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def test_train_with_a_malformed_later_task_file_makes_no_backend_call(
         tmp_path, capsys, monkeypatch):
     path = tmp_path / "task.json"
-    path.write_text(json.dumps(MALFORMED_TASKS["unparseable-milestone"]))
     backend = scripted([])
     monkeypatch.setattr("ice.cli.build_backend", lambda spec: backend)
-    assert main(["train", TRAIN_TASKS[0], str(path), "--backend", f"scripted:{SCENARIO}",
-                 "--out", str(tmp_path / "out.json")]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
-    assert backend.counters.snapshot()["all"] == 0
+    for name in ("unparseable-milestone", "integer-env-setup-entry"):
+        path.write_text(json.dumps(MALFORMED_TASKS[name]))
+        assert main(["train", TRAIN_TASKS[0], str(path), "--backend", f"scripted:{SCENARIO}",
+                     "--out", str(tmp_path / "out.json")]) == 1, name
+        assert capsys.readouterr().err.startswith("error: "), name
+        assert backend.counters.snapshot()["all"] == 0, name
+
+
+@pytest.mark.parametrize("command, mode", [
+    (["run", TEST_TASK], RunMode.EXPLOIT),
+    (["train", TRAIN_TASKS[0]], RunMode.TRAIN),
+], ids=["run", "train"])
+@pytest.mark.parametrize("flags, expected", [
+    ([], RunConfig()),
+    (["--planning-ice", "--execution-ice", "--threshold-pipeline", "0.5",
+      "--threshold-workflow", "0.25", "--max-react-steps", "3"],
+     RunConfig(planning_ice=True, execution_ice=True, pipeline_threshold=0.5,
+               workflow_threshold=0.25, max_react_steps=3)),
+], ids=["omitted", "given"])
+def test_run_flags_reach_the_run_config(capsys, monkeypatch, command, mode, flags, expected):
+    seen = []
+
+    def recording_run_task(task, memory, backend, config):
+        seen.append(config)
+        raise TaskAborted("stopped after the config was seen")
+
+    monkeypatch.setattr("ice.cli.run_task", recording_run_task)
+    main([*command, "--backend", f"scripted:{SCENARIO}", *flags])
+    capsys.readouterr()
+    assert seen == [replace(expected, mode=mode)]
 
 
 def test_run_single_task_in_exploit_mode(tmp_path, capsys):
@@ -193,6 +223,32 @@ def test_bench_against_missing_scenario_exits_three(tmp_path, capsys):
     }))
     assert main(["bench", "--config", str(config)]) == 3
     capsys.readouterr()
+
+
+MALFORMED_BENCH_SPECS = {
+    "empty-object": {},
+    "list": [],
+    "arm-without-a-name": {"backend": "scripted:scenario.json", "arms": [{"planning_ice": True}]},
+    "threshold-above-one": {"backend": "scripted:scenario.json", "arms": [{"name": "a"}],
+                            "pipeline_threshold": 1.5},
+}
+
+
+@pytest.mark.parametrize("doc", list(MALFORMED_BENCH_SPECS.values()),
+                         ids=list(MALFORMED_BENCH_SPECS))
+def test_bench_of_a_malformed_spec_exits_one_before_any_arm_runs(
+        tmp_path, capsys, monkeypatch, doc):
+    def no_arm(*args):
+        raise AssertionError("an arm ran")
+
+    monkeypatch.setattr("ice.bench.run_arm", no_arm)
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps(doc))
+    assert main(["bench", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {config}: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 def demo_log(tmp_path):
@@ -290,6 +346,18 @@ def test_memory_export_round_trips(trained_memory, tmp_path, capsys):
         record_id = int(path.stem.split("_")[1])
         stored = memory.get(record_id)
         assert path.read_text() == dumps_pipeline(pipeline_from_dict(stored.payload))
+
+
+@pytest.mark.parametrize("command", [["show", "1"], ["export"]], ids=["show", "export"])
+def test_memory_command_on_a_stored_pipeline_that_does_not_parse_exits_one(
+        tmp_path, capsys, command):
+    path = tmp_path / "memory.json"
+    path.write_text(json.dumps({"version": 2, "dimension": 256, "records": [
+        {"id": 1, "kind": "pipeline", "key_text": "k", "embedding": [],
+         "payload": {"nodes": [], "edges": []}}]}))
+    assert main(["memory", *command, "--memory", str(path),
+                 "--out", str(tmp_path / "exported")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("snapshot", [

@@ -690,7 +690,7 @@ def test_a_stored_record_and_its_verdict_die_with_the_memory():
     record = memory.get(record_id)
     # the verdict is kept on the record: asking again computes nothing
     verdict = record.derived("pipeline", lambda payload: pytest.fail("recomputed"))
-    assert verdict.automaton.pipeline_name == "climate research"
+    assert verdict.pipeline_name == "climate research"
     record_ref, verdict_ref = weakref.ref(record), weakref.ref(verdict)
     del memory, runner, record, verdict
     gc.collect()
@@ -702,10 +702,14 @@ def test_bad_milestone_override_fails_when_the_task_file_loads(tmp_path):
     path = tmp_path / "task.json"
     path.write_text(json.dumps({"id": "t", "goal": "g",
                                 "milestones": {"search news": ["bogus"]}}))
-    with pytest.raises(BadPredicate):
+    with pytest.raises(BadPredicate) as raised:
         TaskSpec.from_file(path)
-    with pytest.raises(BadPredicate):
+    assert str(raised.value) == (
+        f"{path}: subgoal 'search news': cannot parse milestone predicate 'bogus'")
+    with pytest.raises(BadPredicate, match="^subgoal 'a': cannot parse"):
         TaskSpec(task_id="t", goal="g", milestones={"a": ["file_exists:x", "bogus"]})
+    with pytest.raises(ValueError, match="^subgoal 'a': milestones must be a list"):
+        TaskSpec(task_id="t", goal="g", milestones={"a": "file_exists:x"})
     with pytest.raises(BadPredicate):
         TaskSpec(task_id="t", goal="g", milestones={"write notes": ["custom:has_notes"]})
     ok = TaskSpec(task_id="t", goal="g", milestones={"a": ["file_exists:x"]})
@@ -982,6 +986,20 @@ def test_run_config_validation():
         RunConfig(max_react_steps=0)
     with pytest.raises(ValueError):
         RunConfig(repair_limit=0)
+
+
+@pytest.mark.parametrize("settings", [
+    {"pipeline_threshold": "0.5"},
+    {"workflow_threshold": True},
+    {"pipeline_threshold": None},
+    {"max_react_steps": 8.0},
+    {"max_react_steps": True},
+    {"repair_limit": "3"},
+], ids=["string-threshold", "bool-threshold", "null-threshold", "float-steps",
+        "bool-steps", "string-repair-limit"])
+def test_run_config_refuses_a_setting_of_the_wrong_type(settings):
+    with pytest.raises(ValueError):
+        RunConfig(**settings)
 
 
 def test_report_counters_are_per_task_deltas():
