@@ -20,6 +20,7 @@ Metrics follow the same definitions everywhere:
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -73,9 +74,6 @@ class MetricsReport:
         if any(not 0.0 <= r <= 100.0 for r in rates):
             raise ValueError("rates are percentages in [0, 100]")
 
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ArmSpec:
@@ -102,6 +100,13 @@ class BenchSpec:
     def __post_init__(self) -> None:
         if not self.arms:
             raise ValueError("a bench spec needs at least one arm")
+        # each arm's snapshot is written to memory_<name>.json
+        names = [arm.name for arm in self.arms]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"two arms are named {name!r}")
+            if any(c in name for c in ("\0", os.sep, os.altsep) if c):
+                raise ValueError(f"arm name {name!r} holds a path separator or NUL")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "BenchSpec":
@@ -116,30 +121,30 @@ class BenchSpec:
             raise ValueError(
                 f"{path}: a bench spec is an object with a string backend, lists of task "
                 "paths and a non-empty list of arms, each an object with a string name")
+        base = path.parent
         try:
-            config = RunConfig(**{key: doc[key] for key in (
-                "pipeline_threshold", "workflow_threshold", "max_react_steps") if key in doc})
+            return cls(
+                train_tasks=[base / p for p in doc.get("train_tasks", [])],
+                test_tasks=[base / p for p in doc.get("test_tasks", [])],
+                arms=[
+                    ArmSpec(
+                        name=a["name"],
+                        planning_ice=a.get("planning_ice", False),
+                        execution_ice=a.get("execution_ice", False),
+                        train_limit=a.get("train_limit"),
+                        backend=a.get("backend"),
+                    )
+                    for a in doc["arms"]
+                ],
+                backend=doc["backend"],
+                config=RunConfig(**{key: doc[key] for key in (
+                    "pipeline_threshold", "workflow_threshold", "max_react_steps")
+                    if key in doc}),
+                base_dir=base,
+            )
         except ValueError as exc:
             exc.args = (f"{path}: {exc}",)
             raise
-        base = path.parent
-        return cls(
-            train_tasks=[base / p for p in doc.get("train_tasks", [])],
-            test_tasks=[base / p for p in doc.get("test_tasks", [])],
-            arms=[
-                ArmSpec(
-                    name=a["name"],
-                    planning_ice=a.get("planning_ice", False),
-                    execution_ice=a.get("execution_ice", False),
-                    train_limit=a.get("train_limit"),
-                    backend=a.get("backend"),
-                )
-                for a in doc["arms"]
-            ],
-            backend=doc["backend"],
-            config=config,
-            base_dir=base,
-        )
 
 
 def _is_str_list(value: Any) -> bool:
@@ -180,7 +185,7 @@ class ArmResult:
                 "execution_ice": self.arm.execution_ice,
                 "train_limit": self.arm.train_limit,
             },
-            "metrics": self.metrics.to_dict(),
+            "metrics": asdict(self.metrics),
             "memory_reads": self.memory_reads,
             "memory_writes": self.memory_writes,
             "train_reports": [r.to_dict() for r in self.train_reports],

@@ -120,9 +120,8 @@ def cmd_train(args: argparse.Namespace) -> int:
             reports.append(run_task(task, memory, backend, config))
         except IceError as exc:
             failures.append({"task_id": task.task_id, "error": str(exc)})
-            # the engine re-raises a backend failure as TaskAborted from it
-            backend_failed |= isinstance(exc, BackendError) or isinstance(
-                exc.__cause__, BackendError)
+            # run_task raises TaskAborted for a backend failure, and for nothing else
+            backend_failed |= isinstance(exc, TaskAborted)
             print(f"task {task.task_id} failed: {exc}", file=sys.stderr)
     if args.memory:
         memory.save(args.memory)
@@ -142,11 +141,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     memory = _load_memory(args.memory)
     config = _run_config(args, RunMode.EXPLOIT)
     task = TaskSpec.from_file(args.task)
-    try:
-        report = run_task(task, memory, backend, config)
-    except TaskAborted as exc:
-        print(f"task aborted: {exc}", file=sys.stderr)
-        return EXIT_BACKEND
+    report = run_task(task, memory, backend, config)
     _write_or_print(args.out, json.dumps(report.to_dict(), indent=2,
                                          ensure_ascii=False) + "\n")
     metrics = compute_metrics([report], include_reutilization=config.execution_ice)
@@ -176,12 +171,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_consolidate(args: argparse.Namespace) -> int:
-    try:
-        traj, description = read_trajectory_log(args.log)
-    except json.JSONDecodeError as exc:
-        print(f"malformed trajectory log: line {exc.lineno}: {exc.msg}",
-              file=sys.stderr)
-        return EXIT_USAGE
+    traj, description = read_trajectory_log(args.log)
     backend = build_backend(args.backend)
     goal = Goal(id=traj.goal_id, description=description)
     pipeline = consolidate_pipeline(traj, goal, backend)

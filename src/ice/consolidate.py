@@ -43,10 +43,7 @@ __all__ = [
     "render_tool_records",
     "extract_json_document",
     "DEMONSTRATIONS",
-    "DEFAULT_REPAIR_LIMIT",
 ]
-
-DEFAULT_REPAIR_LIMIT = 3
 
 
 # -- workflows ---------------------------------------------------------------
@@ -363,14 +360,13 @@ def consolidate_pipeline(
     traj: Trajectory,
     goal: Goal,
     backend: LlmBackend,
-    repair_limit: int = DEFAULT_REPAIR_LIMIT,
 ) -> PipelineAutomaton:
-    """Turn one successful trajectory into a validated pipeline automaton.
+    """Turn one successful trajectory into a valid pipeline automaton.
 
     Invalid replies are fed back with the full violation list, up to
-    ``repair_limit`` re-prompts. A pipeline that names tools absent from the
-    trajectory is treated as invalid too, so consolidation can never invent
-    tool names.
+    ``ice.llm.REPAIR_LIMIT`` re-prompts. A pipeline that names tools absent
+    from the trajectory is treated as invalid too, so consolidation can never
+    invent tool names.
     """
     if traj.final_status is not TrajectoryStatus.SUCCESS:
         raise ValueError("only successful trajectories are consolidated")
@@ -405,4 +401,4 @@ def consolidate_pipeline(
 
     return complete_parsed(backend, consolidation_system_prompt(),
                            consolidation_user_text(traj, goal), CallTag.CONSOLIDATION,
-                           parse, ConsolidationFailed, repair_limit, retry)
+                           parse, ConsolidationFailed, retry)

@@ -18,10 +18,9 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from .consolidate import (
-    DEFAULT_REPAIR_LIMIT,
     consolidate_pipeline,
     consolidate_workflows,
     extract_json_document,
@@ -119,7 +118,6 @@ class RunConfig:
     pipeline_threshold: float = DEFAULT_RETRIEVAL_THRESHOLD
     workflow_threshold: float = DEFAULT_RETRIEVAL_THRESHOLD
     max_react_steps: int = DEFAULT_MAX_REACT_STEPS
-    repair_limit: int = DEFAULT_REPAIR_LIMIT
 
     def __post_init__(self) -> None:
         # a bool is an int, but no threshold and no count
@@ -129,10 +127,9 @@ class RunConfig:
                 raise ValueError(f"{name} must be a number, got {value!r}")
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        for name in ("max_react_steps", "repair_limit"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if type(self.max_react_steps) is not int or self.max_react_steps < 1:
+            raise ValueError(
+                f"max_react_steps must be a positive integer, got {self.max_react_steps!r}")
 
 
 @dataclass
@@ -429,13 +426,6 @@ class TaskRunner:
         self._achieved: dict[str, bool] = {}
         self._total_rectifications = 0
 
-    # -- backend plumbing ---------------------------------------------------
-
-    def _complete_parsed(self, system: str, user: str, tag: CallTag,
-                         parser: Callable[[str], Any], error: type[Exception]) -> Any:
-        return complete_parsed(self.backend, system, user, tag, parser, error,
-                               self.config.repair_limit)
-
     # -- planning -----------------------------------------------------------
 
     def generate_initial_plan(self) -> PlanTree:
@@ -445,8 +435,8 @@ class TaskRunner:
                 RecordKind.WORKFLOW, self.task.goal, self.config.workflow_threshold
             )
         user = render_plan_prompt(self.task.goal, reference)
-        subgoals = self._complete_parsed(
-            PLANNING_SYSTEM,
+        subgoals = complete_parsed(
+            self.backend, PLANNING_SYSTEM,
             user,
             CallTag.PLANNING,
             parse_plan_reply,
@@ -502,8 +492,8 @@ class TaskRunner:
                 raise ValueError(str(exc)) from exc
             return actions
 
-        actions = self._complete_parsed(
-            RECTIFY_SYSTEM,
+        actions = complete_parsed(
+            self.backend, RECTIFY_SYSTEM,
             "\n".join(sections),
             CallTag.PLANNING,
             parse_and_stage,
@@ -525,7 +515,7 @@ class TaskRunner:
         on and similarity clears the threshold, otherwise a ReACT loop. A
         pipeline that fails mid-run falls back to a fresh ReACT attempt for
         the whole subgoal; calls from both attempts stay counted. A stored
-        pipeline is parsed and validated once per record, and one that fails
+        pipeline is parsed and checked once per record, and one that fails
         either check falls back to ReACT without a backend call."""
         if self.config.execution_ice:
             key = pipeline_key(goal.description, self._goal_milestones(goal))
@@ -537,7 +527,7 @@ class TaskRunner:
                 pipeline = hit[0].derived("pipeline", _stored_pipeline)
             if pipeline is not None:
                 try:
-                    traj, ok = self.run_pipeline(pipeline, goal, validated=True)
+                    traj, ok = self.run_pipeline(pipeline, goal)
                     return SubgoalOutcome(
                         goal_id=goal.id,
                         method=ExecutionMethod.PIPELINE,
@@ -560,8 +550,8 @@ class TaskRunner:
         traj = Trajectory(goal_id=goal.id)
         terminated = False
         while len(traj.steps) < self.config.max_react_steps:
-            action = self._complete_parsed(
-                REACT_SYSTEM,
+            action = complete_parsed(
+                self.backend, REACT_SYSTEM,
                 render_react_prompt(goal, traj),
                 CallTag.TOOL_HANDLING,
                 parse_react_reply,
@@ -594,23 +584,17 @@ class TaskRunner:
         return traj
 
     def run_pipeline(
-        self, pipeline: PipelineAutomaton, goal: Goal, *, validated: bool = False
+        self, pipeline: PipelineAutomaton, goal: Goal
     ) -> tuple[Trajectory, bool]:
-        """Walk the automaton from Start.
+        """Walk the automaton from Start. The automaton must be valid
+        (``validate_pipeline`` finds nothing); the walk does not check it.
 
         Arriving at a tool node costs one backend call to fill the tool's
         arguments (guided by the comments of the edge just taken); leaving a
         node with several outgoing edges costs one backend call to choose an
         edge by name. The walk succeeds when it reaches End; dead ends and
-        exhausted repair budgets raise ``PipelineRunFailed``. Unless
-        ``validated`` says the caller has checked it already, an invalid
-        automaton raises ``PipelineRunFailed`` before any call.
+        exhausted repair budgets raise ``PipelineRunFailed``.
         """
-        if not validated:
-            violations = validate_pipeline(pipeline)
-            if violations:
-                raise PipelineRunFailed(
-                    "pipeline is invalid: " + "; ".join(v.render() for v in violations))
         traj = Trajectory(goal_id=goal.id)
         outputs: list[str] = []
         current = pipeline.start_node()
@@ -666,8 +650,8 @@ class TaskRunner:
             f"Transition notes: {'; '.join(incoming) or 'none'}\n"
             f"Prior outputs:\n{prior}"
         )
-        return self._complete_parsed(
-            PIPELINE_PARAM_SYSTEM,
+        return complete_parsed(
+            self.backend, PIPELINE_PARAM_SYSTEM,
             user,
             CallTag.TOOL_HANDLING,
             extract_json_document,
@@ -705,8 +689,8 @@ class TaskRunner:
                 "the reply must name exactly one offered edge_name"
             )
 
-        return self._complete_parsed(
-            PIPELINE_CHOICE_SYSTEM,
+        return complete_parsed(
+            self.backend, PIPELINE_CHOICE_SYSTEM,
             user,
             CallTag.TOOL_HANDLING,
             parse_choice,
@@ -811,9 +795,7 @@ class TaskRunner:
         ]
         for traj in investigate_trajectories(self.tree, leaf_trajectories):
             goal = self.tree.find(traj.goal_id)
-            automaton = consolidate_pipeline(
-                traj, goal, self.backend, repair_limit=self.config.repair_limit
-            )
+            automaton = consolidate_pipeline(traj, goal, self.backend)
             self.memory.store(
                 RecordKind.PIPELINE,
                 pipeline_key(goal.description, self._goal_milestones(goal)),

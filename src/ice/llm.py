@@ -28,6 +28,7 @@ __all__ = [
     "Message",
     "CompletionRequest",
     "complete_parsed",
+    "REPAIR_LIMIT",
     "CallCounters",
     "render_request",
     "LlmBackend",
@@ -41,6 +42,9 @@ __all__ = [
 ENV_ENDPOINT = "ICE_LLM_ENDPOINT"
 ENV_MODEL = "ICE_LLM_MODEL"
 ENV_API_KEY = "ICE_LLM_API_KEY"
+
+#: Re-prompts ``complete_parsed`` spends on malformed replies before it gives up.
+REPAIR_LIMIT = 3
 
 
 class CallTag(str, Enum):
@@ -78,14 +82,13 @@ def _retry_text(exc: ValueError) -> str:
 
 def complete_parsed(backend: LlmBackend, system: str, user: str, tag: CallTag,
                     parse: Callable[[str], Any], error: type[Exception],
-                    repair_limit: int,
                     retry: Callable[[ValueError], str] = _retry_text) -> Any:
     """Call the backend and parse the reply. A ``ValueError`` from ``parse``
     appends the reply and ``retry(exc)`` to the conversation and asks again,
-    up to ``repair_limit`` re-prompts; then ``error`` is raised."""
+    up to ``REPAIR_LIMIT`` re-prompts; then ``error`` is raised."""
     messages = [Message(Role.USER, user)]
     last: ValueError | None = None
-    for _ in range(repair_limit + 1):
+    for _ in range(REPAIR_LIMIT + 1):
         reply = backend.complete(CompletionRequest(system, tuple(messages), tag))
         try:
             return parse(reply)

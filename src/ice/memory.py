@@ -31,6 +31,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -504,12 +505,20 @@ class ExperienceMemory:
 
     def save(self, path: str) -> None:
         """Write the snapshot: the bytes of ``json.dumps(self.to_dict(),
-        indent=2, ensure_ascii=False) + "\\n"``, rendered record by record."""
-        # the whole text is rendered and encoded before the file is opened, so
-        # a payload that cannot be encoded leaves an existing snapshot untouched
+        indent=2, ensure_ascii=False) + "\\n"``, rendered record by record.
+
+        The bytes go to a new file beside ``path`` that then replaces it, so
+        a save that fails leaves the old snapshot as it was."""
         data = _snapshot_text(self.dimension, self.records()).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(data)
+        temporary = f"{path}.{os.urandom(6).hex()}.tmp"
+        fh = open(temporary, "xb")
+        try:
+            with fh:
+                fh.write(data)
+            os.replace(temporary, path)
+        except BaseException:
+            os.remove(temporary)
+            raise
 
     @classmethod
     def load(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
-from .errors import AppendAfterFinalize, NonLeafTrajectory
+from .errors import AppendAfterFinalize, InvalidGoal, NonLeafTrajectory
 from .plan import GoalId, GoalStatus, PlanTree
 
 __all__ = [
@@ -142,11 +142,19 @@ def read_trajectory_log(path: str) -> tuple[Trajectory, str]:
     """Load a trajectory log file.
 
     Returns the trajectory plus the optional goal description stored in the
-    header (used as the query line by the offline consolidation command).
+    header (used as the query line by the offline consolidation command). A
+    file that is not JSON, or a document that ``Trajectory.from_dict``
+    cannot read, raises one ``ValueError`` naming the file.
     """
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return Trajectory.from_dict(doc), doc.get("description", "")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        return Trajectory.from_dict(doc), doc.get("description", "")
+    except (LookupError, TypeError, AttributeError, ValueError, RecursionError,
+            InvalidGoal) as exc:
+        raise ValueError(
+            f"{path}: not a trajectory log, an object with a goal_id string and a steps "
+            f"list of objects, each with a tool_name ({type(exc).__name__}: {exc})") from exc
 
 
 def write_trajectory_log(path: str, traj: Trajectory, description: str = "") -> None:

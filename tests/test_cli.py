@@ -88,7 +88,7 @@ def test_run_against_a_scenario_without_a_matching_rule_exits_three(tmp_path, ca
     code = main(["run", str(SUITE_DIR / "tasks" / "test_solar_markets.json"),
                  "--backend", f"scripted:{scenario}"])
     assert code == 3
-    assert capsys.readouterr().err.startswith("task aborted:")
+    assert capsys.readouterr().err.startswith("error: backend failure: ")
 
 
 def aborted_by(cause):
@@ -231,6 +231,10 @@ MALFORMED_BENCH_SPECS = {
     "arm-without-a-name": {"backend": "scripted:scenario.json", "arms": [{"planning_ice": True}]},
     "threshold-above-one": {"backend": "scripted:scenario.json", "arms": [{"name": "a"}],
                             "pipeline_threshold": 1.5},
+    "duplicate-arm-names": {"backend": "scripted:scenario.json",
+                            "arms": [{"name": "a"}, {"name": "a", "planning_ice": True}]},
+    "arm-name-with-a-slash": {"backend": "scripted:scenario.json", "arms": [{"name": "x/y"}]},
+    "arm-name-with-a-nul": {"backend": "scripted:scenario.json", "arms": [{"name": "x\0y"}]},
 }
 
 
@@ -288,6 +292,29 @@ def test_consolidate_malformed_log_reports_line_number(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+MALFORMED_LOGS = {
+    "list": "[]",
+    "integer-goal-id": '{"goal_id": 5}',
+    "malformed-goal-id": '{"goal_id": "x-y"}',
+    "integer-steps": '{"goal_id": "1", "steps": 5}',
+    "step-without-a-tool-name": '{"goal_id": "1", "steps": [{"thought": "t"}]}',
+    "deeply-nested": "[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED_LOGS.values()), ids=list(MALFORMED_LOGS))
+def test_consolidate_of_a_log_of_the_wrong_shape_exits_one(tmp_path, capsys, monkeypatch, text):
+    backend = scripted([])
+    monkeypatch.setattr("ice.cli.build_backend", lambda spec: backend)
+    path = tmp_path / "log.json"
+    path.write_text(text)
+    assert main(["consolidate", str(path), "--backend", f"scripted:{SCENARIO}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert len(err.splitlines()) == 1
+    assert backend.counters.snapshot()["all"] == 0
 
 
 def test_consolidate_backend_that_never_converges_exits_three(tmp_path, capsys):

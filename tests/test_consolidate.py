@@ -26,6 +26,7 @@ from ice.consolidate import (
     workflow_to_dict,
 )
 from ice.errors import ConsolidationFailed, UnfinalizedTree
+from ice.llm import REPAIR_LIMIT
 import ice.pipeline
 from ice.pipeline import dumps_pipeline, pipeline_to_dict, validate_document
 from ice.plan import GoalStatus, new_plan
@@ -219,8 +220,8 @@ def test_repair_limit_exhaustion_raises():
     traj, goal = demo_trajectory(0)
     backend = scripted([{"match": "", "response": "never valid"}])
     with pytest.raises(ConsolidationFailed):
-        consolidate_pipeline(traj, goal, backend, repair_limit=2)
-    assert backend.counters.snapshot()["by_tag"]["consolidation"] == 3
+        consolidate_pipeline(traj, goal, backend)
+    assert backend.counters.snapshot()["by_tag"]["consolidation"] == REPAIR_LIMIT + 1
 
 
 def test_failed_trajectories_are_not_consolidated():

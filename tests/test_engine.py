@@ -26,7 +26,7 @@ from ice.errors import (
     StepParseError,
     TaskAborted,
 )
-from ice.llm import CallTag
+from ice.llm import REPAIR_LIMIT, CallTag
 from ice.memory import ExperienceMemory, RecordKind, pipeline_key, workflow_key
 from ice.pipeline import (
     NodeType,
@@ -115,13 +115,10 @@ def test_react_unknown_tool_becomes_tool_error_step():
 
 
 def test_react_parse_repair_then_step_parse_error():
-    runner = make_runner(
-        [{"match": "", "response": "not json at all"}],
-        config=RunConfig(repair_limit=2),
-    )
+    runner = make_runner([{"match": "", "response": "not json at all"}])
     with pytest.raises(StepParseError):
         runner.react_loop(leaf("anything"))
-    assert runner.backend.counters.by_tag(CallTag.TOOL_HANDLING) == 3
+    assert runner.backend.counters.by_tag(CallTag.TOOL_HANDLING) == REPAIR_LIMIT + 1
 
 
 def test_react_without_explicit_terminate_is_failure_even_if_milestones_hold():
@@ -239,25 +236,17 @@ def test_zero_tool_pipeline_succeeds_with_empty_trajectory():
     assert runner.backend.counters.snapshot()["all"] == 0
 
 
-def test_invalid_choice_replies_retry_then_fail():
-    rules = [
-        {"match": "/ product_detail\n", "response": {"sku": "W003247135"}},
-        {"match": "Choose the next edge", "response": "no such edge"},
-    ]
-    runner = make_runner(rules, products={"W003247135": "r"},
-                         config=RunConfig(repair_limit=2))
+@pytest.mark.parametrize("rules, calls", [
+    # 1 parameter call, then every choice attempt
+    ([{"match": "/ product_detail\n", "response": {"sku": "W003247135"}},
+      {"match": "Choose the next edge", "response": "no such edge"}], 1 + REPAIR_LIMIT + 1),
+    ([{"match": "/ product_detail\n", "response": "no arguments here"}], REPAIR_LIMIT + 1),
+], ids=["edge-choice", "arguments"])
+def test_invalid_pipeline_replies_retry_then_fail(rules, calls):
+    runner = make_runner(rules, products={"W003247135": "r"})
     with pytest.raises(PipelineRunFailed):
         runner.run_pipeline(DEMONSTRATIONS[1].pipeline, leaf("x"))
-    # 1 parameter call + 3 choice attempts
-    assert runner.backend.counters.by_tag(CallTag.TOOL_HANDLING) == 4
-
-
-def test_invalid_pipeline_is_rejected_before_any_call():
-    broken = PipelineAutomaton("broken", "x", nodes=[], edges=[])
-    runner = make_runner([])
-    with pytest.raises(PipelineRunFailed):
-        runner.run_pipeline(broken, leaf("x"))
-    assert runner.backend.counters.snapshot()["all"] == 0
+    assert runner.backend.counters.by_tag(CallTag.TOOL_HANDLING) == calls
 
 
 def test_unregistered_tool_fails_the_pipeline_run():
@@ -334,13 +323,10 @@ def test_plan_reply_shape_is_independent_of_reference_presence():
 
 
 def test_plan_parse_error_after_repairs():
-    runner = make_runner(
-        [{"match": "", "response": "garbage"}],
-        config=RunConfig(repair_limit=1),
-    )
+    runner = make_runner([{"match": "", "response": "garbage"}])
     with pytest.raises(PlanParseError):
         runner.generate_initial_plan()
-    assert runner.backend.counters.by_tag(CallTag.PLANNING) == 2
+    assert runner.backend.counters.by_tag(CallTag.PLANNING) == REPAIR_LIMIT + 1
 
 
 def test_plan_repair_round_recovers():
@@ -510,12 +496,10 @@ def test_malformed_rectify_reply_is_re_prompted(bad_action):
 
 
 def test_rectify_parse_error_after_budget():
-    runner = failed_leaf_runner(
-        [{"match": "", "response": "nonsense"}],
-        config=RunConfig(repair_limit=1),
-    )
+    runner = failed_leaf_runner([{"match": "", "response": "nonsense"}])
     with pytest.raises(RectifyParseError):
         runner.rectify_plan(g("2"))
+    assert runner.backend.counters.by_tag(CallTag.PLANNING) == REPAIR_LIMIT + 1
 
 
 # -- handle_subgoal -------------------------------------------------------------------
@@ -984,8 +968,6 @@ def test_run_config_validation():
         RunConfig(pipeline_threshold=1.5)
     with pytest.raises(ValueError):
         RunConfig(max_react_steps=0)
-    with pytest.raises(ValueError):
-        RunConfig(repair_limit=0)
 
 
 @pytest.mark.parametrize("settings", [
@@ -994,9 +976,9 @@ def test_run_config_validation():
     {"pipeline_threshold": None},
     {"max_react_steps": 8.0},
     {"max_react_steps": True},
-    {"repair_limit": "3"},
+    {"max_react_steps": "3"},
 ], ids=["string-threshold", "bool-threshold", "null-threshold", "float-steps",
-        "bool-steps", "string-repair-limit"])
+        "bool-steps", "string-steps"])
 def test_run_config_refuses_a_setting_of_the_wrong_type(settings):
     with pytest.raises(ValueError):
         RunConfig(**settings)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import random
 
@@ -394,6 +395,51 @@ def test_save_of_a_lone_surrogate_raises_and_keeps_the_old_snapshot(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         memory.save(str(path))
     assert path.read_bytes() == before
+
+
+class _HalfWrittenFile:
+    """A file whose write stores half the bytes and then finds the disk full."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _failing_write(monkeypatch):
+    monkeypatch.setattr("ice.memory.open",
+                        lambda file, mode: _HalfWrittenFile(open(file, mode)), raising=False)
+
+
+def _failing_replace(monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, "Permission denied", dst)
+
+    monkeypatch.setattr("ice.memory.os.replace", refuse)
+
+
+@pytest.mark.parametrize("fail", [_failing_write, _failing_replace], ids=["write", "replace"])
+def test_a_failed_save_keeps_the_old_snapshot_and_leaves_no_temporary_file(
+        tmp_path, monkeypatch, fail):
+    memory = ExperienceMemory()
+    memory.store(RecordKind.WORKFLOW, "first", {"entries": []})
+    path = tmp_path / "memory.json"
+    memory.save(str(path))
+    before = path.read_bytes()
+    memory.store(RecordKind.WORKFLOW, "second", {"entries": []})
+    fail(monkeypatch)
+    with pytest.raises(OSError):
+        memory.save(str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["memory.json"]
 
 
 def _write_snapshot(tmp_path, records, dimension=4):
