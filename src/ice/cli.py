@@ -192,8 +192,7 @@ def cmd_memory(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.subcommand == "show":
         if args.record_id is None:
-            print("show needs a record id", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("show needs a record id")
         record = memory.get(args.record_id)
         if record.kind is RecordKind.PIPELINE:
             print(dumps_pipeline(pipeline_from_dict(record.payload)), end="")
@@ -238,8 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     except (BackendError, ConsolidationFailed, TaskAborted, ArmFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except (UnknownRecord, PipelineSchemaError, FileNotFoundError, json.JSONDecodeError,
-            ValueError) as exc:
+    except (UnknownRecord, PipelineSchemaError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except IceError as exc:

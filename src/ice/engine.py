@@ -793,21 +793,24 @@ class TaskRunner:
             for leaf in self.tree.leaves()
             if leaf.id in trajectories
         ]
+        # every record is consolidated before any is stored, so a task whose
+        # consolidation fails leaves the memory as it was
+        records = []
         for traj in investigate_trajectories(self.tree, leaf_trajectories):
             goal = self.tree.find(traj.goal_id)
             automaton = consolidate_pipeline(traj, goal, self.backend)
-            self.memory.store(
+            records.append((
                 RecordKind.PIPELINE,
                 pipeline_key(goal.description, self._goal_milestones(goal)),
                 pipeline_to_dict(automaton),
-            )
-        for workflow in consolidate_workflows(self.tree):
-            if workflow.entries:
-                self.memory.store(
-                    RecordKind.WORKFLOW,
-                    workflow_key(workflow.source_description),
-                    workflow_to_dict(workflow),
-                )
+            ))
+        records.extend(
+            (RecordKind.WORKFLOW, workflow_key(workflow.source_description),
+             workflow_to_dict(workflow))
+            for workflow in consolidate_workflows(self.tree) if workflow.entries
+        )
+        for record in records:
+            self.memory.store(*record)
 
 
 def run_task(

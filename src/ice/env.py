@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Any, Callable
 
@@ -23,8 +22,6 @@ __all__ = [
     "InvocationRecord",
     "WorldState",
     "SimulatedEnvironment",
-    "MilestoneKind",
-    "MilestonePredicate",
     "parse_predicate",
     "evaluate_milestones",
     "builtin_toolkit",
@@ -127,61 +124,35 @@ class SimulatedEnvironment:
 # -- milestone predicates ----------------------------------------------------
 
 
-class MilestoneKind(str, Enum):
-    FILE_EXISTS = "file_exists"
-    FILE_CONTAINS = "file_contains"
-    TOOL_CALLED = "tool_called"
-
-
-@dataclass(frozen=True)
-class MilestonePredicate:
-    kind: MilestoneKind
-    params: tuple[str, ...]
-
-
-def parse_predicate(text: str) -> MilestonePredicate:
-    """Parse the colon syntax used in scripted mode:
+def parse_predicate(text: str) -> Callable[[WorldState], bool]:
+    """Parse the colon syntax used in scripted mode into its check:
 
     - ``file_exists:<path>``
     - ``file_contains:<path>:<needle>``
     - ``tool_called:<name>`` or ``tool_called:<name>:<min_count>``
     """
     head, _, rest = text.partition(":")
-    if head == MilestoneKind.FILE_EXISTS.value and rest:
-        return MilestonePredicate(MilestoneKind.FILE_EXISTS, (rest,))
-    if head == MilestoneKind.FILE_CONTAINS.value and rest:
+    if head == "file_exists" and rest:
+        return lambda world: rest in world.files
+    if head == "file_contains" and rest:
         path, sep, needle = rest.partition(":")
         if sep:
-            return MilestonePredicate(MilestoneKind.FILE_CONTAINS, (path, needle))
-    if head == MilestoneKind.TOOL_CALLED.value and rest:
+            return lambda world: needle in world.files.get(path, "")
+    if head == "tool_called" and rest:
         name, sep, count = rest.partition(":")
-        if not sep:
-            return MilestonePredicate(MilestoneKind.TOOL_CALLED, (name, "1"))
-        if count.isdecimal():
-            return MilestonePredicate(MilestoneKind.TOOL_CALLED, (name, count))
+        if not sep or count.isdecimal():
+            min_count = int(count) if sep else 1
+            # only clean invocations count toward the milestone
+            return lambda world: sum(
+                1 for rec in world.invocation_log
+                if rec.tool == name and rec.outcome is StepOutcome.OK
+            ) >= min_count
     raise BadPredicate(f"cannot parse milestone predicate {text!r}")
-
-
-def _predicate_holds(pred: MilestonePredicate, env: SimulatedEnvironment) -> bool:
-    world = env.world
-    if pred.kind is MilestoneKind.FILE_EXISTS:
-        return pred.params[0] in world.files
-    if pred.kind is MilestoneKind.FILE_CONTAINS:
-        path, needle = pred.params
-        return needle in world.files.get(path, "")
-    name, min_count = pred.params
-    # only clean invocations count toward the milestone
-    calls = sum(
-        1
-        for rec in world.invocation_log
-        if rec.tool == name and rec.outcome is StepOutcome.OK
-    )
-    return calls >= int(min_count)
 
 
 def evaluate_milestones(milestones: list[str], env: SimulatedEnvironment) -> bool:
     """Conjunction over the goal's predicates; vacuously true when empty."""
-    return all(_predicate_holds(parse_predicate(m), env) for m in milestones)
+    return all(parse_predicate(m)(env.world) for m in milestones)
 
 
 # -- builtin demo tools --------------------------------------------------------

@@ -180,9 +180,28 @@ class ScriptedScenario:
     rules: list[ScriptedRule] = field(default_factory=list)
 
     @classmethod
-    def from_list(cls, raw: list[dict[str, Any]]) -> "ScriptedScenario":
+    def from_list(cls, raw: Any, source: str = "scenario") -> "ScriptedScenario":
+        """Build the rules of a scenario document. A document that is not a
+        list, or a malformed rule, raises one ``ValueError`` naming ``source``
+        and the rule's index."""
+        if not isinstance(raw, list):
+            raise ValueError(f"{source}: a scenario is a list of rules")
         rules = []
-        for item in raw:
+        for i, item in enumerate(raw):
+            if not (isinstance(item, dict)
+                    and isinstance(item.get("match"), str) and "response" in item
+                    and (item.get("max_uses") is None
+                         or type(item["max_uses"]) is int and item["max_uses"] >= 0)
+                    and isinstance(item.get("regex", False), bool)):
+                raise ValueError(
+                    f"{source}: rule {i} is not an object with a string match, a "
+                    "response, a max_uses of null or an integer of at least 0, and "
+                    "a boolean regex")
+            if item.get("regex", False):
+                try:
+                    re.compile(item["match"])
+                except re.error as exc:
+                    raise ValueError(f"{source}: rule {i}: bad regex match: {exc}") from exc
             response = item["response"]
             if not isinstance(response, str):
                 response = json.dumps(response, ensure_ascii=False)
@@ -191,7 +210,7 @@ class ScriptedScenario:
                     match=item["match"],
                     response=response,
                     max_uses=item.get("max_uses"),
-                    regex=bool(item.get("regex", False)),
+                    regex=item.get("regex", False),
                 )
             )
         return cls(rules=rules)
@@ -199,7 +218,7 @@ class ScriptedScenario:
     @classmethod
     def from_file(cls, path: str) -> "ScriptedScenario":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_list(json.load(fh))
+            return cls.from_list(json.load(fh), source=path)
 
 
 class ScriptedBackend(LlmBackend):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from graphlib import CycleError, TopologicalSorter
 from typing import Any
 
 from .errors import PipelineSchemaError
@@ -199,33 +200,22 @@ def _reachable(pipeline: PipelineAutomaton, seeds: set[str], reverse: bool) -> s
 
 
 def _find_cycle(pipeline: PipelineAutomaton) -> str | None:
-    """Return one node name on a cycle, or None when the graph is acyclic."""
-    names = [n.node_name for n in pipeline.nodes]
-    adjacency: dict[str, list[str]] = {name: [] for name in names}
-    for edge in pipeline.edges:
-        if edge.from_node in adjacency and edge.to_node in adjacency:
-            adjacency[edge.from_node].append(edge.to_node)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {name: WHITE for name in names}
+    """Return one node name on a cycle, or None when the graph is acyclic.
 
-    for origin in names:
-        if color[origin] != WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(origin, 0)]
-        color[origin] = GREY
-        while stack:
-            node, cursor = stack[-1]
-            if cursor < len(adjacency[node]):
-                stack[-1] = (node, cursor + 1)
-                nxt = adjacency[node][cursor]
-                if color[nxt] == GREY:
-                    return nxt
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    stack.append((nxt, 0))
-            else:
-                color[node] = BLACK
-                stack.pop()
+    graphlib searches from each node in list order and follows edges in list
+    order, so the named node, which repair prompts quote, depends only on
+    the document."""
+    sorter: TopologicalSorter[str] = TopologicalSorter()
+    for node in pipeline.nodes:
+        sorter.add(node.node_name)
+    names = {n.node_name for n in pipeline.nodes}
+    for edge in pipeline.edges:
+        if edge.from_node in names and edge.to_node in names:
+            sorter.add(edge.to_node, edge.from_node)
+    try:
+        sorter.prepare()
+    except CycleError as exc:
+        return exc.args[1][0]
     return None
 
 

@@ -189,6 +189,21 @@ def test_failing_arm_is_isolated():
     assert len(result.failures) == 1 and result.failures[0]["arm"] == "broken"
 
 
+def test_an_arm_with_a_malformed_scenario_fails_alone(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps([{"match": "x"}]))
+    spec = BenchSpec.from_file(SUITE_DIR / "bench.json")
+    spec.arms = [
+        ArmSpec(name="broken", backend=f"scripted:{scenario}"),
+        ArmSpec(name="standard"),
+    ]
+    result = run_bench(spec)
+    assert [f["arm"] for f in result.failures] == ["broken"]
+    assert result.failures[0]["error"].startswith(f"{scenario}: rule 0 ")
+    assert [a.arm.name for a in result.arms] == ["standard"]
+    assert format_table(result).splitlines()[2].startswith("standard ")
+
+
 def test_metrics_report_validates_identities():
     with pytest.raises(ValueError):
         MetricsReport(api_calls_all=1, api_calls_tools=2,

@@ -131,6 +131,33 @@ def test_run_of_a_malformed_task_file_exits_one(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
+MALFORMED_SCENARIOS = {
+    "object": {},
+    "integer-rule": [5],
+    "rule-without-a-response": [{"match": "x"}],
+    "integer-match": [{"match": 5, "response": "r"}],
+    "unbalanced-regex": [{"match": "(", "response": "r", "regex": True}],
+    "string-max-uses": [{"match": "", "response": "r", "max_uses": "2"}],
+}
+
+
+@pytest.mark.parametrize("doc", list(MALFORMED_SCENARIOS.values()),
+                         ids=list(MALFORMED_SCENARIOS))
+def test_run_against_a_malformed_scenario_exits_one_before_any_backend_call(
+        tmp_path, capsys, monkeypatch, doc):
+    def no_call(*args):
+        raise AssertionError("the backend was called")
+
+    monkeypatch.setattr("ice.llm.ScriptedBackend._complete", no_call)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["run", TEST_TASK, "--backend", f"scripted:{scenario}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {scenario}: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_train_with_a_malformed_later_task_file_makes_no_backend_call(
         tmp_path, capsys, monkeypatch):
     path = tmp_path / "task.json"
@@ -426,3 +453,23 @@ def test_memory_list_of_a_deeply_nested_file_exits_one(tmp_path, capsys):
     path.write_text("[" * 100_000)
     assert main(["memory", "list", "--memory", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: snapshot nests too deeply")
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "{dir}", "--backend", f"scripted:{SCENARIO}"],
+    ["run", TEST_TASK, "--backend", f"scripted:{SCENARIO}", "--memory", "{dir}"],
+    ["memory", "export", "--memory", "{snapshot}", "--out", "{snapshot}"],
+    ["memory", "show", "--memory", "{snapshot}"],
+    ["bench", "--config", "{spec}", "--out", "{spec}"],
+], ids=["directory-task-file", "directory-memory", "export-out-an-existing-file",
+        "show-without-an-id", "bench-out-an-existing-file"])
+def test_a_file_system_fault_or_a_missing_id_exits_one_with_an_error_line(
+        tmp_path, capsys, command):
+    spec = tmp_path / "bench.json"
+    spec.write_text(json.dumps({"backend": f"scripted:{SCENARIO}", "arms": [{"name": "a"}]}))
+    paths = {"dir": str(tmp_path), "snapshot": _one_workflow_snapshot(tmp_path, "k"),
+             "spec": str(spec)}
+    assert main([arg.format(**paths) for arg in command]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: ")
+    assert "Traceback" not in err

@@ -20,6 +20,7 @@ from ice.engine import (
 from ice.env import SimulatedEnvironment, builtin_toolkit
 from ice.errors import (
     BadPredicate,
+    ConsolidationFailed,
     PipelineRunFailed,
     PlanParseError,
     RectifyParseError,
@@ -784,6 +785,18 @@ def test_train_run_stores_workflow_and_pipelines():
     # 1 plan + 2 react subgoals at 2 calls each + 2 consolidations
     assert report.counters["all"] == 7
     assert report.counters["by_tag"]["consolidation"] == 2
+
+
+def test_a_task_whose_second_consolidation_fails_stores_no_record():
+    rules = [r for r in note_task_rules() if r["match"] != "Query: write the research note"]
+    rules.append({"match": "Query: write the research note", "response": "not a pipeline"})
+    memory = ExperienceMemory()
+    backend = scripted(rules)
+    with pytest.raises(ConsolidationFailed):
+        run_task(note_task(), memory, backend, RunConfig(mode=RunMode.TRAIN))
+    # the first pipeline consolidated in one call, the second used every repair
+    assert backend.counters.by_tag(CallTag.CONSOLIDATION) == 1 + REPAIR_LIMIT + 1
+    assert len(memory) == 0
 
 
 def test_exploit_rerun_uses_pipelines_and_fewer_tool_calls():

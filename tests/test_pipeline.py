@@ -131,6 +131,30 @@ def test_cycle_is_flagged():
     assert any(v.rule == "cycle" for v in validate_pipeline(pipeline))
 
 
+@pytest.mark.parametrize("names, edges, node", [
+    (["start", "work", "end"], [("start", "work"), ("work", "work"), ("work", "end")],
+     "work"),
+    (["start", "a", "b", "c", "d", "end"],
+     [("start", "c"), ("c", "d"), ("d", "c"), ("start", "a"), ("a", "b"), ("b", "a"),
+      ("a", "end")],
+     "c"),
+    (["start", "end", "r", "p", "q"], [("start", "end"), ("r", "q"), ("q", "p"), ("p", "q")],
+     "q"),
+], ids=["self-loop", "two-disjoint-cycles", "cycle-reached-from-a-later-node"])
+def test_the_cycle_violation_names_the_node_the_search_meets_again(names, edges, node):
+    # the search starts from each node in list order and follows edges in list
+    # order; the named node is the first one it reaches twice on one path
+    types = {"start": NodeType.START, "end": NodeType.END}
+    pipeline = PipelineAutomaton(
+        pipeline_name="cyclic",
+        pipeline_purpose="demo",
+        nodes=[PipelineNode(n, n, types.get(n, NodeType.TOOL_SERVER)) for n in names],
+        edges=[PipelineEdge(f"{a}-{b}", "data", a, b, ()) for a, b in edges],
+    )
+    assert [v.render() for v in validate_pipeline(pipeline) if v.rule == "cycle"] == [
+        f"cycle [{node}]: pipelines must be acyclic; found a cycle through this node"]
+
+
 def test_start_to_end_path_required():
     pipeline = PipelineAutomaton(
         pipeline_name="disconnected",
