@@ -112,7 +112,10 @@ class BenchSpec:
     def from_file(cls, path: str | Path) -> "BenchSpec":
         path = Path(path)
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except RecursionError as exc:
+                raise ValueError(f"{path}: nests too deeply for the JSON decoder") from exc
         if not (isinstance(doc, dict)
                 and isinstance(doc.get("backend"), str)
                 and all(_is_str_list(doc.get(key, [])) for key in ("train_tasks", "test_tasks"))

@@ -183,7 +183,10 @@ class TaskSpec:
     def from_file(cls, path: str | Path) -> "TaskSpec":
         path = Path(path)
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except RecursionError as exc:
+                raise ValueError(f"{path}: nests too deeply for the JSON decoder") from exc
         if not (isinstance(doc, dict)
                 and isinstance(doc.get("id"), str)
                 and isinstance(doc.get("goal"), str)

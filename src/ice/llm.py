@@ -218,7 +218,11 @@ class ScriptedScenario:
     @classmethod
     def from_file(cls, path: str) -> "ScriptedScenario":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_list(json.load(fh), source=path)
+            try:
+                doc = json.load(fh)
+            except RecursionError as exc:
+                raise ValueError(f"{path}: nests too deeply for the JSON decoder") from exc
+        return cls.from_list(doc, source=path)
 
 
 class ScriptedBackend(LlmBackend):

@@ -28,6 +28,7 @@ embedding or scoring it.
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -35,7 +36,7 @@ import os
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -302,11 +303,19 @@ class _KindRecords:
 # instead: a payload's objects, arrays and strings are laid out directly at
 # the record's depth, and any other value is dumped on its own with its lines
 # shifted to that depth, which is safe because JSON text never has a raw
-# newline inside a string.
+# newline inside a string. Embeddings are rendered per kind, a block at a
+# time: one ``nonzero`` over the bits of the block's filled columns gives
+# every pair, by record and then by index, and each distinct value is
+# ``repr``-ed once for the whole block.
+#
+# ``load`` pauses the cyclic garbage collector while it parses and builds, and
+# then restores the caller's setting: what it allocates is either kept or freed
+# by reference counting, so a collection during a load frees nothing.
 
 _SNAPSHOT_VERSION = 2
 _KIND_JSON = {kind: json.dumps(kind.value) for kind in RecordKind}
 _PAYLOAD_NEWLINE = "\n" + " " * 6
+_PAIR_SEPARATOR = "\n        ],\n        [\n          "
 _encode_string = json.encoder.encode_basestring
 
 
@@ -316,16 +325,25 @@ def _set_cells(values: np.ndarray) -> tuple[list[int], list[float]]:
     return indices.tolist(), values[indices].tolist()
 
 
-def _embedding_json(values: np.ndarray) -> str:
-    indices, cells = _set_cells(values)
-    if not indices:
-        return "[]"
-    # a token-hash embedding repeats few values; equal floats have equal
-    # reprs, as the only zero among set cells is -0.0
-    reprs = {value: repr(value) for value in set(cells)}
-    pairs = [f"{i},\n          {reprs[value]}" for i, value in zip(indices, cells)]
-    return ("[\n        [\n          " + "\n        ],\n        [\n          ".join(pairs)
-            + "\n        ]\n      ]")
+def _embedding_texts(blocks: list[np.ndarray], count: int) -> list[str]:
+    """The snapshot text of each of the first ``count`` columns of ``blocks``."""
+    texts: list[str] = []
+    for block in blocks:
+        filled = min(count - len(texts), block.shape[1])
+        if filled <= 0:
+            break
+        # transposed, so the pairs come out by record and then by index
+        records, indices = np.nonzero(block.view(np.int64)[:, :filled].T)
+        starts = np.searchsorted(records, np.arange(filled + 1)).tolist()
+        indices, values = indices.tolist(), block[indices, records].tolist()
+        # a token-hash embedding repeats few values; equal floats have equal
+        # reprs, as the only zero among set cells is -0.0
+        reprs = {value: repr(value) for value in set(values)}
+        pairs = [f"{i},\n          {reprs[value]}" for i, value in zip(indices, values)]
+        texts += ["[\n        [\n          " + _PAIR_SEPARATOR.join(pairs[start:end])
+                  + "\n        ]\n      ]" if end > start else "[]"
+                  for start, end in zip(starts, starts[1:])]
+    return texts
 
 
 def _sparse_cells(pairs: Any, dimension: int, record_id: Any) -> tuple[list[int], list[Any]]:
@@ -361,14 +379,19 @@ def _payload_json(value: Any, newline: str) -> str:
     (a newline and the current line's indentation) in place of each newline."""
     if isinstance(value, str):
         return _encode_string(value)
-    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+    if isinstance(value, dict):
         if not value:
             return "{}"
         inner = newline + "  "
-        # string leaves, the most common value, are encoded without a call
-        items = [f"{_encode_string(key)}: "
-                 f"{_encode_string(item) if type(item) is str else _payload_json(item, inner)}"
-                 for key, item in value.items()]
+        try:
+            # string leaves, the most common value, are encoded without a call
+            items = [f"{_encode_string(key)}: "
+                     f"{_encode_string(item) if type(item) is str else _payload_json(item, inner)}"
+                     for key, item in value.items()]
+        except TypeError:
+            # a key that is not a string, which json.dumps converts or refuses,
+            # or a value below that json.dumps refuses just the same
+            return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", newline)
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(value, (list, tuple)):
         if not value:
@@ -381,29 +404,34 @@ def _payload_json(value: Any, newline: str) -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    # None, floats, objects with keys that are not strings, and what json rejects
+    # None, floats, and what json rejects
     return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", newline)
 
 
-def _record_json(record: MemoryRecord) -> str:
+def _record_json(record: MemoryRecord, embedding: str) -> str:
     payload = _payload_json(record.payload, _PAYLOAD_NEWLINE)
     return (
         "    {\n"
         f'      "id": {record.record_id},\n'
         f'      "kind": {_KIND_JSON[record.kind]},\n'
         f'      "key_text": {_payload_json(record.key_text, _PAYLOAD_NEWLINE)},\n'
-        f'      "embedding": {_embedding_json(record.embedding.values)},\n'
+        f'      "embedding": {embedding},\n'
         f'      "payload": {payload}\n'
         "    }"
     )
 
 
-def _snapshot_text(dimension: int, records: list[MemoryRecord]) -> str:
+def _snapshot_text(dimension: int, records: list[MemoryRecord],
+                   embeddings: dict[RecordKind, Iterator[str]]) -> str:
+    """The snapshot of ``records``, which are in store order; ``embeddings``
+    yields each kind's embedding texts in the same order."""
     head = (f'{{\n  "version": {_SNAPSHOT_VERSION},\n'
             f'  "dimension": {json.dumps(dimension)},\n  "records": ')
     if not records:
         return head + "[]\n}\n"
-    return head + "[\n" + ",\n".join(map(_record_json, records)) + "\n  ]\n}\n"
+    return head + "[\n" + ",\n".join(
+        _record_json(record, next(embeddings[record.kind])) for record in records
+    ) + "\n  ]\n}\n"
 
 
 class ExperienceMemory:
@@ -505,11 +533,16 @@ class ExperienceMemory:
 
     def save(self, path: str) -> None:
         """Write the snapshot: the bytes of ``json.dumps(self.to_dict(),
-        indent=2, ensure_ascii=False) + "\\n"``, rendered record by record.
+        indent=2, ensure_ascii=False) + "\\n"``, rendered record by record
+        with each kind's embeddings rendered a block at a time.
 
         The bytes go to a new file beside ``path`` that then replaces it, so
         a save that fails leaves the old snapshot as it was."""
-        data = _snapshot_text(self.dimension, self.records()).encode("utf-8")
+        with self._lock:
+            records = list(self._by_id.values())
+            kinds = [(k.kind, len(k.records), list(k.blocks)) for k in self._kinds.values()]
+        embeddings = {kind: iter(_embedding_texts(blocks, count)) for kind, count, blocks in kinds}
+        data = _snapshot_text(self.dimension, records, embeddings).encode("utf-8")
         temporary = f"{path}.{os.urandom(6).hex()}.tmp"
         fh = open(temporary, "xb")
         try:
@@ -527,7 +560,17 @@ class ExperienceMemory:
         embedder: LocalDeterministicEmbedder | None = None,
     ) -> "ExperienceMemory":
         """Read a snapshot written by ``save``, or a version 1 snapshot,
-        validating every record."""
+        validating every record, with the cyclic garbage collector paused."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return cls._load(path, embedder)
+        finally:
+            if enabled:
+                gc.enable()
+
+    @classmethod
+    def _load(cls, path: str, embedder: LocalDeterministicEmbedder | None) -> "ExperienceMemory":
         with open(path, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)

@@ -456,6 +456,25 @@ def test_memory_list_of_a_deeply_nested_file_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [
+    ["run", "{nested}", "--backend", f"scripted:{SCENARIO}"],
+    ["run", TEST_TASK, "--backend", "scripted:{nested}"],
+    ["bench", "--config", "{nested}"],
+], ids=["task-file", "scenario", "bench-spec"])
+def test_a_file_nested_too_deeply_for_the_json_decoder_exits_one_before_any_backend_call(
+        tmp_path, capsys, monkeypatch, command):
+    def no_call(*args):
+        raise AssertionError("the backend was called")
+
+    monkeypatch.setattr("ice.llm.ScriptedBackend._complete", no_call)
+    nested = tmp_path / "deeply_nested.json"
+    nested.write_text("[" * 100_000)
+    assert main([arg.format(nested=nested) for arg in command]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"error: {nested}: nests too deeply")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
     ["run", "{dir}", "--backend", f"scripted:{SCENARIO}"],
     ["run", TEST_TASK, "--backend", f"scripted:{SCENARIO}", "--memory", "{dir}"],
     ["memory", "export", "--memory", "{snapshot}", "--out", "{snapshot}"],

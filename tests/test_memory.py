@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import gc
 import json
 import random
 
@@ -375,6 +376,66 @@ def test_a_version_1_snapshot_loads_like_its_version_2_save(tmp_path_factory, co
     assert resaved_path.read_bytes() == v2_path.read_bytes()
 
 
+def _edge_rows(count, dimension, seed):
+    """Sparse unit rows with two -0.0 and two subnormal cells besides the
+    others; every seventh row is zero instead, half of those with -0.0 cells."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for n in range(count):
+        row = np.zeros(dimension)
+        if n % 7:
+            cells = rng.choice(dimension, size=rng.integers(1, 9), replace=False)
+            row[cells] = rng.uniform(-1.0, 1.0, cells.size)
+            row /= np.linalg.norm(row)
+            # subnormals too small to move the norm
+            row[np.flatnonzero(row == 0.0)[:4]] = [-0.0, -0.0, 5e-324, -1e-310]
+        elif n % 14 == 0:
+            row[:2] = -0.0
+        rows.append(row)
+    return rows
+
+
+def test_save_of_blocks_past_the_first_writes_the_indented_json_of_to_dict(tmp_path):
+    # 120 records of each kind fill the 16-, 32- and 64-column blocks and
+    # start a fourth, the kinds interleaved in store order
+    dimension, count = 40, 240
+    rows = _edge_rows(count, dimension, seed=5)
+    memory = ExperienceMemory(embedder=QueueEmbedder(dimension, rows))
+    for n in range(count):
+        if n % 2:
+            memory.store(RecordKind.PIPELINE, f"pipeline {n}", {**PIPELINE_PAYLOAD, "n": n})
+        else:
+            memory.store(RecordKind.WORKFLOW, f"workflow {n}", {**WORKFLOW_PAYLOAD, "n": n})
+    assert [len(k.blocks) for k in memory._kinds.values()] == [4, 4]
+    path = tmp_path / "memory.json"
+    memory.save(str(path))
+    expected = json.dumps(memory.to_dict(), indent=2, ensure_ascii=False) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+    loaded = ExperienceMemory.load(str(path), embedder=QueueEmbedder(dimension))
+    assert len(loaded) == count
+    for before, after, row in zip(memory.records(), loaded.records(), rows):
+        assert (after.record_id, after.kind, after.key_text, after.payload) == (
+            before.record_id, before.kind, before.key_text, before.payload)
+        assert after.embedding.values.tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("payload", [
+    {"entries": [], 7: "int", 2.5: "float", True: "bool", None: "null"},
+    {"entries": [{"a": 1, 3: ["x", {False: None, "b": 2.5}]}], "z": {}},
+    {1: {"entries": "inner"}, "entries": [[], {}, {0.1: [None]}]},
+], ids=["top-level", "nested-in-a-list", "first-key"])
+def test_save_of_keys_that_are_not_strings_writes_the_indented_json_of_to_dict(
+        tmp_path, payload):
+    memory = ExperienceMemory(embedder=LocalDeterministicEmbedder(dimension=8))
+    memory.store(RecordKind.WORKFLOW, "one", payload)
+    memory.store(RecordKind.PIPELINE, "two", {"nodes": [payload], "edges": {"e": payload}})
+    path = tmp_path / "memory.json"
+    memory.save(str(path))
+    expected = json.dumps(memory.to_dict(), indent=2, ensure_ascii=False) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 @pytest.mark.parametrize("embedder", [None, QueueEmbedder(2, [np.array([0.0, 1.0])])],
                          ids=["token-hash", "queue"])
 def test_store_refuses_a_key_text_that_is_not_a_string(embedder):
@@ -498,6 +559,36 @@ def test_load_of_a_deeply_nested_document_raises_value_error(tmp_path):
         ExperienceMemory.load(str(path), embedder=LocalDeterministicEmbedder(dimension=4))
 
 
+@pytest.mark.parametrize("text", [
+    '{"version": 2, "dimension": 4, "records": []}',
+    '{"version": 2, "dimension": 4, "records": [{"id": 1}]}',
+    "[" * 100_000,
+], ids=["good", "bad-record", "deeply-nested"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_load_pauses_the_collector_and_leaves_it_as_it_found_it(
+        tmp_path, monkeypatch, text, enabled):
+    path = tmp_path / "memory.json"
+    path.write_text(text)
+    parse, during = json.load, []
+
+    def watched_parse(fh):
+        during.append(gc.isenabled())
+        return parse(fh)
+
+    monkeypatch.setattr("ice.memory.json.load", watched_parse)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            ExperienceMemory.load(str(path), embedder=LocalDeterministicEmbedder(dimension=4))
+        except ValueError:
+            pass
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert during == [False]
+
+
 def _write_v2_snapshot(tmp_path, embeddings, version=2, dimension=4):
     """One workflow record per embedding, given as its [index, value] pairs."""
     path = tmp_path / "memory.json"
@@ -577,4 +668,46 @@ def test_load_of_any_json_document_returns_or_raises_value_error(tmp_path_factor
     try:
         ExperienceMemory.load(str(path), embedder=LocalDeterministicEmbedder(dimension=4))
     except (ValueError, IceError):
+        pass
+
+
+@pytest.fixture(scope="module")
+def saved_snapshot(tmp_path_factory):
+    """The bytes ``save`` writes for records of both kinds, one with a zero key."""
+    memory = ExperienceMemory(embedder=LocalDeterministicEmbedder(dimension=4))
+    memory.store(RecordKind.WORKFLOW, "collect notes é中", WORKFLOW_PAYLOAD)
+    memory.store(RecordKind.PIPELINE, pipeline_key("draft", ["file_exists:a.txt"]),
+                 PIPELINE_PAYLOAD)
+    memory.store(RecordKind.WORKFLOW, "", {"entries": [{"id": "1", "milestones": ["m"]}]})
+    path = tmp_path_factory.mktemp("saved") / "memory.json"
+    memory.save(str(path))
+    return path.read_bytes()
+
+
+# a stray continuation byte, a lead byte with no continuation, an encoded
+# surrogate, a five-byte form, and a byte UTF-8 never uses
+INVALID_UTF8 = [b"\x80", b"\xc3", b"\xc3(", b"\xed\xa0\x80", b"\xf8\x88\x80\x80\x80", b"\xff"]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_load_of_any_bytes_returns_or_raises_a_typed_error(
+        tmp_path_factory, saved_snapshot, data):
+    saved, size = saved_snapshot, len(saved_snapshot)
+    text = data.draw(st.one_of(
+        st.binary(max_size=64),
+        # a truncation
+        st.integers(0, size).map(lambda end: saved[:end]),
+        # one byte replaced by any other
+        st.tuples(st.integers(0, size - 1), st.binary(min_size=1, max_size=1)).map(
+            lambda edit: saved[:edit[0]] + edit[1] + saved[edit[0] + 1:]),
+        # invalid UTF-8 put in anywhere
+        st.tuples(st.integers(0, size), st.sampled_from(INVALID_UTF8)).map(
+            lambda edit: saved[:edit[0]] + edit[1] + saved[edit[0]:]),
+    ))
+    path = tmp_path_factory.getbasetemp() / "any_bytes_memory.json"
+    path.write_bytes(text)
+    try:
+        ExperienceMemory.load(str(path), embedder=LocalDeterministicEmbedder(dimension=4))
+    except (ValueError, DimensionMismatch, PayloadKindMismatch):
         pass
