@@ -33,7 +33,7 @@ from .engine import (
     TaskSpec,
     run_task,
 )
-from .errors import ArmFailed, IceError
+from .errors import ArmFailed, IceError, read_json
 from .llm import (
     CallTag,
     HttpChatBackend,
@@ -111,11 +111,7 @@ class BenchSpec:
     @classmethod
     def from_file(cls, path: str | Path) -> "BenchSpec":
         path = Path(path)
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except RecursionError as exc:
-                raise ValueError(f"{path}: nests too deeply for the JSON decoder") from exc
+        doc = read_json(path)
         if not (isinstance(doc, dict)
                 and isinstance(doc.get("backend"), str)
                 and all(_is_str_list(doc.get(key, [])) for key in ("train_tasks", "test_tasks"))

@@ -338,7 +338,7 @@ def extract_json_document(text: str) -> dict[str, Any]:
     for candidate in (stripped, "{" + stripped + "}"):
         try:
             doc = json.loads(candidate)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             continue
         if isinstance(doc, dict):
             return doc
@@ -347,7 +347,7 @@ def extract_json_document(text: str) -> dict[str, Any]:
     while start != -1:
         try:
             doc, _ = decoder.raw_decode(stripped[start:])
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             start = stripped.find("{", start + 1)
             continue
         if isinstance(doc, dict):

@@ -44,6 +44,7 @@ from .errors import (
     StepParseError,
     TaskAborted,
     UnknownTool,
+    read_json,
 )
 from .llm import CallTag, LlmBackend, complete_parsed, counters_delta
 from .memory import (
@@ -182,11 +183,7 @@ class TaskSpec:
     @classmethod
     def from_file(cls, path: str | Path) -> "TaskSpec":
         path = Path(path)
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except RecursionError as exc:
-                raise ValueError(f"{path}: nests too deeply for the JSON decoder") from exc
+        doc = read_json(path)
         if not (isinstance(doc, dict)
                 and isinstance(doc.get("id"), str)
                 and isinstance(doc.get("goal"), str)

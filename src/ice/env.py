@@ -8,12 +8,11 @@ predicates evaluate against the world state alone.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from .errors import BadPredicate, UnknownTool
+from .errors import BadPredicate, UnknownTool, read_json
 from .trajectory import StepOutcome
 
 __all__ = [
@@ -271,8 +270,7 @@ def build_environment(
             if "records" in entry:
                 records = entry["records"]
             else:
-                with open(base / entry["fixture"], encoding="utf-8") as fh:
-                    records = json.load(fh)
+                records = read_json(base / entry["fixture"])
             env.world.datasets[entry["dataset"]] = records
         else:
             env.world.files[entry["file"]["path"]] = entry["file"]["content"]

@@ -1,6 +1,24 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one reader of
+JSON files, whose decode errors name the file."""
 
 from __future__ import annotations
+
+import json
+import os
+from typing import Any
+
+
+def read_json(path: str | os.PathLike[str]) -> Any:
+    """The JSON document in the file at ``path``. A file that does not
+    decode, or nests too deeply for the decoder, raises ``ValueError``
+    naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"{path}: nests too deeply for the JSON decoder") from exc
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 class IceError(Exception):

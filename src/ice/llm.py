@@ -15,12 +15,11 @@ from __future__ import annotations
 import json
 import os
 import re
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable
 
-from .errors import HttpBackendError, NoScenarioMatch
+from .errors import HttpBackendError, NoScenarioMatch, read_json
 
 __all__ = [
     "CallTag",
@@ -110,29 +109,24 @@ def render_request(request: CompletionRequest) -> str:
 
 
 class CallCounters:
-    """Thread-safe totals per tag."""
+    """Totals per tag."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._by_tag: dict[CallTag, int] = {tag: 0 for tag in CallTag}
 
     def record(self, tag: CallTag) -> None:
-        with self._lock:
-            self._by_tag[tag] += 1
+        self._by_tag[tag] += 1
 
     def by_tag(self, tag: CallTag) -> int:
-        with self._lock:
-            return self._by_tag[tag]
+        return self._by_tag[tag]
 
     def snapshot(self) -> dict[str, Any]:
-        with self._lock:
-            by_tag = {tag.value: count for tag, count in self._by_tag.items()}
+        by_tag = {tag.value: count for tag, count in self._by_tag.items()}
         return {"all": sum(by_tag.values()), "by_tag": by_tag}
 
     def reset(self) -> None:
-        with self._lock:
-            for tag in self._by_tag:
-                self._by_tag[tag] = 0
+        for tag in self._by_tag:
+            self._by_tag[tag] = 0
 
 
 def counters_delta(before: dict[str, Any], after: dict[str, Any]) -> dict[str, Any]:
@@ -217,12 +211,7 @@ class ScriptedScenario:
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedScenario":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except RecursionError as exc:
-                raise ValueError(f"{path}: nests too deeply for the JSON decoder") from exc
-        return cls.from_list(doc, source=path)
+        return cls.from_list(read_json(path), source=path)
 
 
 class ScriptedBackend(LlmBackend):
@@ -231,18 +220,16 @@ class ScriptedBackend(LlmBackend):
     def __init__(self, scenario: ScriptedScenario) -> None:
         super().__init__()
         self._scenario = scenario
-        self._lock = threading.Lock()
         self._uses = [0] * len(scenario.rules)
 
     def _complete(self, request: CompletionRequest) -> str:
         rendered = render_request(request)
-        with self._lock:
-            for i, rule in enumerate(self._scenario.rules):
-                if rule.max_uses is not None and self._uses[i] >= rule.max_uses:
-                    continue
-                if rule.matches(rendered):
-                    self._uses[i] += 1
-                    return rule.response
+        for i, rule in enumerate(self._scenario.rules):
+            if rule.max_uses is not None and self._uses[i] >= rule.max_uses:
+                continue
+            if rule.matches(rendered):
+                self._uses[i] += 1
+                return rule.response
         excerpt = rendered if len(rendered) <= 400 else rendered[:200] + " ... " + rendered[-180:]
         raise NoScenarioMatch(
             f"no scripted rule matched a {request.tag.value} request: {excerpt!r}"
@@ -292,7 +279,7 @@ class HttpChatBackend(LlmBackend):
             return payload["choices"][0]["message"]["content"]
         except (urllib.error.URLError, TimeoutError, OSError) as exc:
             raise HttpBackendError(f"chat completion failed: {exc}") from exc
-        except (KeyError, IndexError, ValueError) as exc:
+        except (KeyError, IndexError, ValueError, RecursionError) as exc:
             raise HttpBackendError(f"malformed chat completion reply: {exc}") from exc
 
 

@@ -33,14 +33,13 @@ import hashlib
 import json
 import math
 import os
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterator, TypeVar
 
 import numpy as np
 
-from .errors import DimensionMismatch, PayloadKindMismatch, UnknownRecord
+from .errors import DimensionMismatch, PayloadKindMismatch, UnknownRecord, read_json
 
 __all__ = [
     "RecordKind",
@@ -165,8 +164,7 @@ class MemoryRecord:
         """
         memo = self._derived
         if name not in memo:
-            # racing callers compute equal values; all get the first stored
-            memo.setdefault(name, compute(self.payload))
+            memo[name] = compute(self.payload)
         return memo[name]
 
 
@@ -208,10 +206,7 @@ class _KindRecords:
 
     Column ``j`` of the blocks, counted across them in order, is record
     ``j``'s embedding. A column is written before its record is appended and
-    never changes after; blocks are only appended. A reader holding
-    ``len(records)`` and a copy of ``blocks`` taken under the store's lock may
-    therefore score those columns without the lock while ``append`` fills
-    later ones.
+    never changes after; blocks are only appended.
 
     ``answers`` holds what ``best`` returned for all the current records, by
     ``(query text, threshold)``; ``append`` empties it.
@@ -261,15 +256,15 @@ class _KindRecords:
             if bad.any():
                 raise ValueError(f"embedding norm must be 1 or 0, got {norms[bad][0]}")
 
-    def best(self, query: Embedding, count: int, blocks: list[np.ndarray],
-             threshold: float) -> tuple[MemoryRecord, float] | None:
-        """The first ``count`` records' best and its similarity, if that clears the threshold."""
+    def best(self, query: Embedding, threshold: float) -> tuple[MemoryRecord, float] | None:
+        """The best record and its similarity, if that clears the threshold."""
+        count = len(self.records)
         if count == 0:
             return None
         # zero cells add exact zeros to every score: read only the block rows
         # of the query's non-zero coordinates. ``take`` copies whole rows,
-        # faster than slicing them first; the scores of columns past
-        # ``count``, which ``store`` may be filling meanwhile, are cut
+        # faster than slicing them first; the scores of the last block's
+        # unfilled columns are cut
         coordinates = np.flatnonzero(query.values)
         if not coordinates.size:
             # every cosine with the zero vector is exactly 0: the earliest
@@ -277,7 +272,7 @@ class _KindRecords:
             return (self.records[0], 0.0) if threshold <= 0 else None
         values = query.values[coordinates]
         scores = np.concatenate(
-            [values @ block.take(coordinates, axis=0) for block in blocks])[:count]
+            [values @ block.take(coordinates, axis=0) for block in self.blocks])[:count]
         best = scores.max()
         if best < threshold - _SCORE_TOLERANCE:
             return None
@@ -435,7 +430,8 @@ def _snapshot_text(dimension: int, records: list[MemoryRecord],
 
 
 class ExperienceMemory:
-    """Concurrent-read, serialized-write record store with cosine retrieval."""
+    """Record store with cosine retrieval. Single-threaded, like the engine
+    that drives it: it takes no lock, so one thread at a time may use it."""
 
     def __init__(
         self,
@@ -445,7 +441,6 @@ class ExperienceMemory:
         self._by_id: dict[int, MemoryRecord] = {}
         self._kinds = {kind: _KindRecords(kind, self.dimension) for kind in RecordKind}
         self._next_id = 1
-        self._lock = threading.Lock()
         self.stats = MemoryStats()
 
     @property
@@ -465,11 +460,10 @@ class ExperienceMemory:
             raise DimensionMismatch(
                 f"embedding dimension {embedding.dimension} != store dimension {self.dimension}"
             )
-        with self._lock:
-            record = self._kinds[kind].append(self._next_id, key_text, payload, embedding.values)
-            self._next_id += 1
-            self._by_id[record.record_id] = record
-            self.stats.writes += 1
+        record = self._kinds[kind].append(self._next_id, key_text, payload, embedding.values)
+        self._next_id += 1
+        self._by_id[record.record_id] = record
+        self.stats.writes += 1
         return record.record_id
 
     def retrieve(
@@ -481,37 +475,28 @@ class ExperienceMemory:
         insertion order beyond first-come precedence. The answer is given
         again, without an ``embed`` call, until a record of ``kind`` is stored.
         """
+        self.stats.reads += 1
         kind_records = self._kinds[kind]
+        answers = kind_records.answers
         key = (query_text, threshold)
-        with self._lock:
-            self.stats.reads += 1
-            answers = kind_records.answers
-            if key in answers:
-                return answers[key]
-            count, blocks = len(kind_records.records), list(kind_records.blocks)
-        answer = kind_records.best(self.embed(query_text), count, blocks, threshold)
-        with self._lock:
-            # a record stored meanwhile may beat this answer: keep it only if none was
-            if len(kind_records.records) == count:
-                if len(answers) >= _MAX_ANSWERS:
-                    answers.clear()
-                answers[key] = answer
-        return answer
+        if key not in answers:
+            query = self.embed(query_text)
+            if len(answers) >= _MAX_ANSWERS:
+                answers.clear()
+            answers[key] = kind_records.best(query, threshold)
+        return answers[key]
 
     def get(self, record_id: int) -> MemoryRecord:
-        with self._lock:
-            record = self._by_id.get(record_id)
+        record = self._by_id.get(record_id)
         if record is None:
             raise UnknownRecord(f"no record with id {record_id}")
         return record
 
     def records(self, kind: RecordKind | None = None) -> list[MemoryRecord]:
-        with self._lock:
-            return list(self._by_id.values() if kind is None else self._kinds[kind].records)
+        return list(self._by_id.values() if kind is None else self._kinds[kind].records)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._by_id)
+        return len(self._by_id)
 
     # -- persistence ---------------------------------------------------------
 
@@ -538,11 +523,9 @@ class ExperienceMemory:
 
         The bytes go to a new file beside ``path`` that then replaces it, so
         a save that fails leaves the old snapshot as it was."""
-        with self._lock:
-            records = list(self._by_id.values())
-            kinds = [(k.kind, len(k.records), list(k.blocks)) for k in self._kinds.values()]
-        embeddings = {kind: iter(_embedding_texts(blocks, count)) for kind, count, blocks in kinds}
-        data = _snapshot_text(self.dimension, records, embeddings).encode("utf-8")
+        embeddings = {k.kind: iter(_embedding_texts(k.blocks, len(k.records)))
+                      for k in self._kinds.values()}
+        data = _snapshot_text(self.dimension, self.records(), embeddings).encode("utf-8")
         temporary = f"{path}.{os.urandom(6).hex()}.tmp"
         fh = open(temporary, "xb")
         try:
@@ -571,11 +554,7 @@ class ExperienceMemory:
 
     @classmethod
     def _load(cls, path: str, embedder: LocalDeterministicEmbedder | None) -> "ExperienceMemory":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except RecursionError as exc:
-                raise ValueError(f"snapshot nests too deeply: {exc}") from exc
+        doc = read_json(path)
         # a document of another shape fails below on a missing key or a value of
         # the wrong type (OverflowError: an integer too large for a float)
         try:

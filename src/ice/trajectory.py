@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
-from .errors import AppendAfterFinalize, InvalidGoal, NonLeafTrajectory
+from .errors import AppendAfterFinalize, InvalidGoal, NonLeafTrajectory, read_json
 from .plan import GoalId, GoalStatus, PlanTree
 
 __all__ = [
@@ -146,12 +146,10 @@ def read_trajectory_log(path: str) -> tuple[Trajectory, str]:
     file that is not JSON, or a document that ``Trajectory.from_dict``
     cannot read, raises one ``ValueError`` naming the file.
     """
+    doc = read_json(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
         return Trajectory.from_dict(doc), doc.get("description", "")
-    except (LookupError, TypeError, AttributeError, ValueError, RecursionError,
-            InvalidGoal) as exc:
+    except (LookupError, TypeError, AttributeError, ValueError, InvalidGoal) as exc:
         raise ValueError(
             f"{path}: not a trajectory log, an object with a goal_id string and a steps "
             f"list of objects, each with a tool_name ({type(exc).__name__}: {exc})") from exc

@@ -448,29 +448,50 @@ def test_memory_list_of_a_record_with_an_integer_key_text_exits_one(tmp_path, ca
     assert capsys.readouterr().err.startswith("error: snapshot record 1 has a key_text ")
 
 
-def test_memory_list_of_a_deeply_nested_file_exits_one(tmp_path, capsys):
-    path = tmp_path / "memory.json"
-    path.write_text("[" * 100_000)
-    assert main(["memory", "list", "--memory", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error: snapshot nests too deeply")
+# each command reads the file {bad}; {task} is a task file whose one dataset
+# fixture is {bad}
+READS_OF_A_JSON_FILE = {
+    "task-file": ["run", "{bad}", "--backend", f"scripted:{SCENARIO}"],
+    "scenario": ["run", TEST_TASK, "--backend", "scripted:{bad}"],
+    "bench-spec": ["bench", "--config", "{bad}"],
+    "memory-list": ["memory", "list", "--memory", "{bad}"],
+    "fixture": ["run", "{task}", "--backend", f"scripted:{SCENARIO}"],
+}
 
 
-@pytest.mark.parametrize("command", [
-    ["run", "{nested}", "--backend", f"scripted:{SCENARIO}"],
-    ["run", TEST_TASK, "--backend", "scripted:{nested}"],
-    ["bench", "--config", "{nested}"],
-], ids=["task-file", "scenario", "bench-spec"])
-def test_a_file_nested_too_deeply_for_the_json_decoder_exits_one_before_any_backend_call(
-        tmp_path, capsys, monkeypatch, command):
+def _run_on_a_bad_file(tmp_path, monkeypatch, reader, text):
+    """Run the command of ``reader`` on a file holding ``text``, failing on
+    any backend call; return the exit code and the file's path."""
     def no_call(*args):
         raise AssertionError("the backend was called")
 
     monkeypatch.setattr("ice.llm.ScriptedBackend._complete", no_call)
-    nested = tmp_path / "deeply_nested.json"
-    nested.write_text("[" * 100_000)
-    assert main([arg.format(nested=nested) for arg in command]) == 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps({"id": "t", "goal": "g",
+                                "env_setup": [{"dataset": "d", "fixture": bad.name}]}))
+    command = [arg.format(bad=bad, task=task) for arg in READS_OF_A_JSON_FILE[reader]]
+    return main(command), bad
+
+
+@pytest.mark.parametrize("reader", list(READS_OF_A_JSON_FILE))
+def test_a_file_nested_too_deeply_for_the_json_decoder_exits_one_before_any_backend_call(
+        tmp_path, capsys, monkeypatch, reader):
+    code, nested = _run_on_a_bad_file(tmp_path, monkeypatch, reader, "[" * 100_000)
+    assert code == 1
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith(f"error: {nested}: nests too deeply")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("reader", list(READS_OF_A_JSON_FILE))
+def test_a_file_that_is_not_json_exits_one_with_an_error_line_naming_it(
+        tmp_path, capsys, monkeypatch, reader):
+    code, bad = _run_on_a_bad_file(tmp_path, monkeypatch, reader, "{")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"error: {bad}: ")
     assert "Traceback" not in err
 
 

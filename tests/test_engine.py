@@ -339,12 +339,15 @@ def test_plan_repair_round_recovers():
     assert len(tree.leaves()) == 3
 
 
-def test_unparseable_milestone_is_re_prompted_before_the_run():
+@pytest.mark.parametrize("first_reply", [
+    {"subgoals": [{"description": "write notes", "milestones": ["bogus"]}]},
+    "[" * 100_000,
+], ids=["unparseable-milestone", "deeply-nested"])
+def test_a_malformed_plan_reply_is_re_prompted_before_the_run(first_reply):
     runner = make_runner([
         {"match": "Could not apply that reply", "response": {"subgoals": [
             {"description": "write notes", "milestones": ["file_exists:notes.txt"]}]}},
-        {"match": "Goal:", "response": {"subgoals": [
-            {"description": "write notes", "milestones": ["bogus"]}]}},
+        {"match": "Goal:", "response": first_reply},
         {"match": "Subgoal: write notes\nCompleted steps: 0",
          "response": step_reply("FileSystemEnv_write_to_file",
                                 filepath="notes.txt", content="notes")},

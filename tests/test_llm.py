@@ -235,11 +235,12 @@ def test_http_backend_without_a_key_sends_no_bearer_header(monkeypatch):
     b"\xff",
     json.dumps({"id": "no choices"}).encode(),
     json.dumps({"choices": []}).encode(),
+    b"[" * 100_000,
     urllib.error.URLError("connection refused"),
     urllib.error.HTTPError("http://127.0.0.1:9/v1/chat", 503, "unavailable", None, None),
     TimeoutError("timed out"),
-], ids=["not-json", "not-utf8", "no-choices", "empty-choices", "url-error", "http-503",
-        "timeout"])
+], ids=["not-json", "not-utf8", "no-choices", "empty-choices", "deeply-nested",
+        "url-error", "http-503", "timeout"])
 def test_http_backend_failures_raise_and_count_each_attempt_once(monkeypatch, outcome):
     sent = patch_urlopen(monkeypatch, outcome)
     backend = HttpChatBackend(endpoint="http://127.0.0.1:9/v1/chat")

@@ -158,6 +158,8 @@ def test_store_ids_match_shadow_list():
     assert shadow == list(range(1, 201))
     assert len(memory) == 200
     assert memory.stats.writes == 200
+    for kind in RecordKind:  # each kind's records in store order
+        assert memory.records(kind) == [r for r in memory.records() if r.kind is kind]
 
 
 def test_derived_values_are_computed_once_and_left_out_of_equality():

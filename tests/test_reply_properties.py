@@ -63,6 +63,8 @@ def _returns_or_raises_value_error(parse, text):
 @example('{"subgoals": [{"description": "d", "milestones": ["tool_called:x:\u00b2"]}]}')
 @example('{"actions": [{"kind": "split", "target": "0", "subgoals": [{"description": "d"}]}]}')
 @example('{"thought": "t", "tool_name": "x", "tool_args": []}')
+@example("[" * 100_000)
+@example('{"subgoals": ' + "[" * 100_000)
 def test_every_reply_parser_returns_or_raises_value_error(text):
     _returns_or_raises_value_error(parse_plan_reply, text)
     _returns_or_raises_value_error(parse_rectify_reply, text)
