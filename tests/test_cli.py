@@ -450,6 +450,13 @@ def test_memory_list_of_a_record_with_an_integer_key_text_exits_one(tmp_path, ca
 
 # each command reads the file {bad}; {task} is a task file whose one dataset
 # fixture is {bad}
+def test_memory_list_of_a_deeply_nested_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "memory.json"
+    path.write_text("[" * 100_000)
+    assert main(["memory", "list", "--memory", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: nests too deeply")
+
+
 READS_OF_A_JSON_FILE = {
     "task-file": ["run", "{bad}", "--backend", f"scripted:{SCENARIO}"],
     "scenario": ["run", TEST_TASK, "--backend", "scripted:{bad}"],
