@@ -230,21 +230,28 @@ def compute_metrics(
     )
 
 
-def build_backend(spec: str, base_dir: Path | None = None) -> LlmBackend:
-    """Backend selector for CLI strings: ``scripted:<file>`` or ``http``."""
+def build_backend(spec: str, base_dir: Path | None = None,
+                  scenarios: dict[Path, ScriptedScenario] | None = None) -> LlmBackend:
+    """Backend selector for CLI strings: ``scripted:<file>`` or ``http``.
+
+    A scenario file already parsed into ``scenarios`` is not read again, and
+    one read here is added to it, so backends built through one dict share
+    their rules (and the rules' index); each keeps its own use counts."""
     if spec.startswith("scripted:"):
         path = Path(spec.split(":", 1)[1])
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
-        return ScriptedBackend(ScriptedScenario.from_file(str(path)))
+        scenarios = {} if scenarios is None else scenarios
+        if path not in scenarios:
+            scenarios[path] = ScriptedScenario.from_file(str(path))
+        return ScriptedBackend(scenarios[path])
     if spec == "http":
         return HttpChatBackend()
     raise ValueError(f"unknown backend spec {spec!r}; use scripted:<file> or http")
 
 
-def run_arm(spec: BenchSpec, arm: ArmSpec) -> ArmResult:
+def run_arm(spec: BenchSpec, arm: ArmSpec, backend: LlmBackend) -> ArmResult:
     """Train a fresh memory, then measure the test tasks; an error in any task ends the arm."""
-    backend = build_backend(arm.backend or spec.backend, base_dir=spec.base_dir)
     memory = ExperienceMemory()
     train_config = replace(spec.config, mode=RunMode.TRAIN)
     test_config = replace(spec.config, planning_ice=arm.planning_ice,
@@ -277,13 +284,30 @@ def run_arm(spec: BenchSpec, arm: ArmSpec) -> ArmResult:
     )
 
 
+#: What ends one arm and not the bench.
+_ARM_ERRORS = (IceError, OSError, ValueError)
+
+
 def run_bench(spec: BenchSpec) -> BenchResult:
-    """Run every arm; a failing arm is recorded and the rest still run."""
-    result = BenchResult(arms=[])
+    """Run every arm; a failing arm is recorded and the rest still run.
+
+    Every arm's backend is built before the first arm runs, and each scenario
+    file is read once, so an arm whose backend cannot be built is known to
+    have failed before any arm spends a call."""
+    scenarios: dict[Path, ScriptedScenario] = {}
+    backends: list[LlmBackend | Exception] = []
     for arm in spec.arms:
         try:
-            result.arms.append(run_arm(spec, arm))
-        except (IceError, OSError, ValueError) as exc:
+            backends.append(build_backend(arm.backend or spec.backend, spec.base_dir, scenarios))
+        except _ARM_ERRORS as exc:
+            backends.append(exc)
+    result = BenchResult(arms=[])
+    for arm, backend in zip(spec.arms, backends):
+        try:
+            if isinstance(backend, Exception):
+                raise backend
+            result.arms.append(run_arm(spec, arm, backend))
+        except _ARM_ERRORS as exc:
             result.failures.append({"arm": arm.name, "error": str(exc)})
     return result
 

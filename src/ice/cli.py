@@ -30,6 +30,7 @@ from .errors import (
     TaskAborted,
     UnknownRecord,
 )
+from .env import build_environment
 from .memory import ExperienceMemory, RecordKind
 from .pipeline import dumps_pipeline, pipeline_from_dict
 from .plan import Goal
@@ -107,17 +108,19 @@ def _load_memory(path: str | None) -> ExperienceMemory:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    # every task file is checked before the first task spends a backend call
+    # every task file, and the environment it sets up, is checked before the
+    # first task spends a backend call
     tasks = [TaskSpec.from_file(path) for path in args.tasks]
+    environments = [build_environment(task.env_setup, task.base_dir) for task in tasks]
     backend = build_backend(args.backend)
     memory = _load_memory(args.memory)
     config = _run_config(args, RunMode.TRAIN)
     reports = []
     failures = []
     backend_failed = False
-    for task in tasks:
+    for task, environment in zip(tasks, environments):
         try:
-            reports.append(run_task(task, memory, backend, config))
+            reports.append(run_task(task, memory, backend, config, environment))
         except IceError as exc:
             failures.append({"task_id": task.task_id, "error": str(exc)})
             # run_task raises TaskAborted for a backend failure, and for nothing else

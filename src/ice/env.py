@@ -249,6 +249,15 @@ def is_setup_entry(entry: Any) -> bool:
             and isinstance(file.get("content"), str))
 
 
+#: The datasets the built-in tools read: the shape each must have, and its test.
+_DATASET_SHAPES: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    "documents": ("a list of strings",
+                  lambda v: isinstance(v, list) and all(isinstance(d, str) for d in v)),
+    "products": ("an object", lambda v: isinstance(v, dict)),
+    "reviews": ("an object", lambda v: isinstance(v, dict)),
+}
+
+
 def build_environment(
     env_setup: list[dict[str, Any]], base_dir: str | Path | None = None
 ) -> SimulatedEnvironment:
@@ -260,6 +269,9 @@ def build_environment(
         {"dataset": "products", "records": {...}}
         {"dataset": "documents", "fixture": "fixtures/docs.json"}
         {"file": {"path": "notes.txt", "content": "..."}}
+
+    A dataset a built-in tool reads (``documents``, ``products``, ``reviews``)
+    of another shape raises ``ValueError``; other datasets are free-form.
     """
     env = SimulatedEnvironment(tools=builtin_toolkit())
     base = Path(base_dir) if base_dir is not None else Path.cwd()
@@ -267,11 +279,16 @@ def build_environment(
         if not is_setup_entry(entry):
             raise ValueError(f"unrecognized env_setup entry: {entry}")
         if "dataset" in entry:
+            name, source = entry["dataset"], ""
             if "records" in entry:
                 records = entry["records"]
             else:
-                records = read_json(base / entry["fixture"])
-            env.world.datasets[entry["dataset"]] = records
+                path = base / entry["fixture"]
+                records, source = read_json(path), f"{path}: "
+            shape, holds = _DATASET_SHAPES.get(name, (None, None))
+            if holds and not holds(records):
+                raise ValueError(f"{source}env_setup dataset {name!r} must be {shape}")
+            env.world.datasets[name] = records
         else:
             env.world.files[entry["file"]["path"]] = entry["file"]["content"]
     return env

@@ -15,8 +15,12 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from itertools import chain
 from typing import Any, Callable
 
 from .errors import HttpBackendError, NoScenarioMatch, read_json
@@ -169,9 +173,67 @@ class ScriptedRule:
         return self.match in rendered
 
 
+class _RuleIndex:
+    """The rules of a scenario that can match a request, found without a
+    substring search.
+
+    A plain rule whose match splits into three or more tokens is filed under
+    one of its middle tokens: a text that contains the match holds each middle
+    token as a whole ``str.split()`` token, while the first and the last may be
+    parts of longer tokens ("ket trends now" occurs in "market trends now").
+    Of its middle tokens, the one least often found among the middle tokens of
+    all rules is chosen. Regex rules and shorter matches are candidates for
+    every request. A set of rules is an integer whose bit ``i`` is rule ``i``.
+    """
+
+    __slots__ = ("always", "filed", "by_system")
+
+    #: Distinct system texts whose candidates are kept; the engine has six.
+    SYSTEMS = 16
+
+    def __init__(self, rules: list[ScriptedRule]) -> None:
+        middles = [[] if rule.regex else rule.match.split()[1:-1] for rule in rules]
+        counts = Counter(chain.from_iterable(middles))
+        self.always = 0
+        self.filed: dict[str, int] = {}
+        for i, middle in enumerate(middles):
+            if middle:
+                # interned: scenarios built from one template share their keys
+                key = sys.intern(min(middle, key=counts.__getitem__))
+                self.filed[key] = self.filed.get(key, 0) | 1 << i
+            else:
+                self.always |= 1 << i
+        self.by_system: dict[str, int] = {}
+
+    def _add_filed(self, rules: int, text: str) -> int:
+        """``rules`` and the rules filed under a token of ``text``."""
+        filed = self.filed
+        for token in filed.keys() & text.split():
+            rules |= filed[token]
+        return rules
+
+    def candidates(self, system: str, messages: str) -> int:
+        """The rules whose match may occur in the request rendered from
+        ``system`` and the rendered ``messages``. The newline between them is
+        whitespace, so no token spans the two."""
+        rules = self.by_system.get(system)
+        if rules is None:
+            if len(self.by_system) >= self.SYSTEMS:
+                self.by_system.clear()
+            rules = self.by_system[system] = self._add_filed(self.always, system)
+        return self._add_filed(rules, messages)
+
+
 @dataclass
 class ScriptedScenario:
+    """An ordered rule list; it is not changed once a backend replays it."""
+
     rules: list[ScriptedRule] = field(default_factory=list)
+
+    @cached_property
+    def index(self) -> _RuleIndex:
+        """Built once, on first use, and shared by every backend on this scenario."""
+        return _RuleIndex(self.rules)
 
     @classmethod
     def from_list(cls, raw: Any, source: str = "scenario") -> "ScriptedScenario":
@@ -224,7 +286,14 @@ class ScriptedBackend(LlmBackend):
 
     def _complete(self, request: CompletionRequest) -> str:
         rendered = render_request(request)
-        for i, rule in enumerate(self._scenario.rules):
+        rules = self._scenario.rules
+        candidates = self._scenario.index.candidates(
+            request.system, rendered[len(request.system) + 1:])
+        while candidates:  # the lowest rule number first
+            lowest = candidates & -candidates
+            candidates ^= lowest
+            i = lowest.bit_length() - 1
+            rule = rules[i]
             if rule.max_uses is not None and self._uses[i] >= rule.max_uses:
                 continue
             if rule.matches(rendered):

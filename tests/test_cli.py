@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +132,29 @@ def test_run_of_a_malformed_task_file_exits_one(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
+@pytest.mark.parametrize("dataset, records, shape", [
+    ("documents", 5, "a list of strings"),
+    ("documents", ["a", 5], "a list of strings"),
+    ("products", ["A"], "an object"),
+    ("reviews", "A: good", "an object"),
+], ids=["integer-documents", "documents-holding-an-integer", "list-of-products",
+        "string-reviews"])
+def test_run_of_a_task_whose_tool_dataset_has_another_shape_exits_one(
+        tmp_path, capsys, dataset, records, shape):
+    """The suite's solar-markets task with its dataset fixture replaced; with
+    ``documents`` 5 its first search used to end in a TypeError."""
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps(records))
+    task = json.loads(Path(TEST_TASK).read_text(encoding="utf-8"))
+    task["env_setup"] = [{"dataset": dataset, "fixture": fixture.name}]
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps(task))
+    assert main(["run", str(path), "--backend", f"scripted:{SCENARIO}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {fixture}: env_setup dataset {dataset!r} must be {shape}\n"
+
+
 MALFORMED_SCENARIOS = {
     "object": {},
     "integer-rule": [5],
@@ -163,12 +187,21 @@ def test_train_with_a_malformed_later_task_file_makes_no_backend_call(
     path = tmp_path / "task.json"
     backend = scripted([])
     monkeypatch.setattr("ice.cli.build_backend", lambda spec: backend)
-    for name in ("unparseable-milestone", "integer-env-setup-entry"):
-        path.write_text(json.dumps(MALFORMED_TASKS[name]))
+    # a dataset is checked when the task's environment is built, which ice
+    # train does for every task before the first runs
+    (tmp_path / "five.json").write_text("5")
+    integer_documents = {"id": "t", "goal": "g",
+                         "env_setup": [{"dataset": "documents", "fixture": "five.json"}]}
+    memory = tmp_path / "memory.json"
+    for name, doc in [("unparseable-milestone", MALFORMED_TASKS["unparseable-milestone"]),
+                      ("integer-env-setup-entry", MALFORMED_TASKS["integer-env-setup-entry"]),
+                      ("integer-documents", integer_documents)]:
+        path.write_text(json.dumps(doc))
         assert main(["train", TRAIN_TASKS[0], str(path), "--backend", f"scripted:{SCENARIO}",
-                     "--out", str(tmp_path / "out.json")]) == 1, name
+                     "--memory", str(memory), "--out", str(tmp_path / "out.json")]) == 1, name
         assert capsys.readouterr().err.startswith("error: "), name
         assert backend.counters.snapshot()["all"] == 0, name
+        assert not memory.exists(), name
 
 
 @pytest.mark.parametrize("command, mode", [
@@ -185,7 +218,7 @@ def test_train_with_a_malformed_later_task_file_makes_no_backend_call(
 def test_run_flags_reach_the_run_config(capsys, monkeypatch, command, mode, flags, expected):
     seen = []
 
-    def recording_run_task(task, memory, backend, config):
+    def recording_run_task(task, memory, backend, config, environment=None):
         seen.append(config)
         raise TaskAborted("stopped after the config was seen")
 

@@ -201,6 +201,19 @@ def test_build_environment_with_inline_and_fixture_datasets(tmp_path):
     assert set(env.tool_names()) == {t.name for t in builtin_toolkit()}
 
 
+def test_build_environment_checks_the_datasets_the_builtin_tools_read():
+    for entry, shape in [({"dataset": "documents", "records": {"a": "b"}}, "a list of strings"),
+                         ({"dataset": "documents", "records": [None]}, "a list of strings"),
+                         ({"dataset": "products", "records": "A"}, "an object"),
+                         ({"dataset": "reviews", "records": []}, "an object")]:
+        with pytest.raises(ValueError) as caught:
+            build_environment([entry])
+        assert str(caught.value) == f"env_setup dataset {entry['dataset']!r} must be {shape}"
+    env = build_environment([{"dataset": "documents", "records": []},
+                             {"dataset": "notes", "records": 5}])
+    assert env.world.datasets == {"documents": [], "notes": 5}
+
+
 def test_build_environment_rejects_unknown_entries():
     with pytest.raises(ValueError):
         build_environment([{"mystery": 1}])

@@ -6,6 +6,8 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import scripted
 from ice.errors import HttpBackendError, NoScenarioMatch
@@ -18,6 +20,7 @@ from ice.llm import (
     ScriptedBackend,
     ScriptedScenario,
     TagRoutingBackend,
+    _RuleIndex,
     render_request,
 )
 
@@ -134,6 +137,98 @@ def test_scenario_file_round_trip(tmp_path):
     scenario = ScriptedScenario.from_file(str(path))
     assert scenario.rules[0].match == "hello"
     assert scenario.rules[0].max_uses == 3
+
+
+# -- the rule index against a linear scan -----------------------------------------
+
+# "ket" and "ab" are parts of longer words, and words and separators are drawn
+# apart, so a match may start or end inside a token of the request
+WORDS = ["ab", "abc", "b", "market", "ket", "trends", "now", "Goal:", "x"]
+SEPARATORS = [" ", "\t", "\n", "\xa0", "  "]
+REGEXES = [r"ket\s+tr", r"^abc", r"now$", r"a.b", r"(?:ab|b)\sx", r""]
+
+texts = st.lists(st.sampled_from(WORDS + SEPARATORS), max_size=10).map("".join)
+
+
+@st.composite
+def scripted_runs(draw):
+    """A rule list and a request sequence. Most plain matches are slices of a
+    rendered request, so that they match, often from or to the middle of a token."""
+    systems = draw(st.lists(texts, min_size=1, max_size=4))
+    messages = st.lists(st.builds(Message, st.sampled_from(list(Role)), texts),
+                        min_size=1, max_size=3).map(tuple)
+    requests = draw(st.lists(
+        st.builds(CompletionRequest, st.sampled_from(systems), messages,
+                  st.sampled_from(list(CallTag))),
+        min_size=1, max_size=8))
+    rendered = [render_request(r) for r in requests]
+    rules = []
+    for i in range(draw(st.integers(0, 10))):
+        rule = {"response": f"rule {i}",
+                "max_uses": draw(st.none() | st.integers(0, 3))}
+        kind = draw(st.sampled_from(["slice", "text", "regex"]))
+        if kind == "slice":
+            text = draw(st.sampled_from(rendered))
+            start = draw(st.integers(0, len(text)))
+            rule["match"] = text[start:draw(st.integers(start, len(text)))]
+        elif kind == "text":
+            rule["match"] = draw(texts)
+        else:
+            rule.update(match=draw(st.sampled_from(REGEXES)), regex=True)
+        rules.append(rule)
+    return rules, requests
+
+
+def linear_replies(scenario, requests):
+    """Every rule in order, the scan the index must agree with."""
+    uses = [0] * len(scenario.rules)
+    replies = []
+    for request in requests:
+        rendered = render_request(request)
+        for i, rule in enumerate(scenario.rules):
+            if rule.max_uses is not None and uses[i] >= rule.max_uses:
+                continue
+            if rule.matches(rendered):
+                uses[i] += 1
+                replies.append(rule.response)
+                break
+        else:
+            replies.append(NoScenarioMatch)
+    return replies
+
+
+@settings(max_examples=200, deadline=None)
+@given(scripted_runs(), st.sampled_from([1, _RuleIndex.SYSTEMS]))
+def test_indexed_backend_replies_as_a_linear_scan_does(run, systems_kept):
+    rules, requests = run
+    scenario = ScriptedScenario.from_list(rules)
+    expected = linear_replies(scenario, requests)
+    # with one system text kept, the kept candidates are cleared on each change
+    old, _RuleIndex.SYSTEMS = _RuleIndex.SYSTEMS, systems_kept
+    try:
+        backend = ScriptedBackend(scenario)
+        for request, reply in zip(requests, expected):
+            if reply is NoScenarioMatch:
+                with pytest.raises(NoScenarioMatch):
+                    backend.complete(request)
+            else:
+                assert backend.complete(request) == reply
+    finally:
+        _RuleIndex.SYSTEMS = old
+
+
+def test_rules_are_filed_under_their_rarest_middle_token():
+    scenario = ScriptedScenario.from_list([
+        {"match": "Subgoal: collect facts now", "response": "a"},
+        {"match": "Subgoal: collect notes now", "response": "b"},
+        {"match": "Goal: draft", "response": "c"},
+        {"match": "Subgoal: .* now", "response": "d", "regex": True},
+    ])
+    assert scenario.index.filed == {"facts": 0b0001, "notes": 0b0010}
+    assert scenario.index.always == 0b1100
+    # the first and last tokens may be parts of longer ones
+    backend = ScriptedBackend(scenario)
+    assert backend.complete(request("subSubgoal: collect notes nowhere")) == "b"
 
 
 def test_tag_routing_backend_routes_and_counts():
