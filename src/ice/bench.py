@@ -250,20 +250,19 @@ def build_backend(spec: str, base_dir: Path | None = None,
     raise ValueError(f"unknown backend spec {spec!r}; use scripted:<file> or http")
 
 
-def run_arm(spec: BenchSpec, arm: ArmSpec, backend: LlmBackend) -> ArmResult:
+def run_arm(spec: BenchSpec, arm: ArmSpec, backend: LlmBackend,
+            train_tasks: list[TaskSpec], test_tasks: list[TaskSpec]) -> ArmResult:
     """Train a fresh memory, then measure the test tasks; an error in any task ends the arm."""
     memory = ExperienceMemory()
     train_config = replace(spec.config, mode=RunMode.TRAIN)
     test_config = replace(spec.config, planning_ice=arm.planning_ice,
                           execution_ice=arm.execution_ice, mode=RunMode.EXPLOIT)
 
-    train_paths = spec.train_tasks[:arm.train_limit] if arm.uses_ice else []
-    train_reports = [run_task(TaskSpec.from_file(path), memory, backend, train_config)
-                     for path in train_paths]
+    train_tasks = train_tasks[:arm.train_limit] if arm.uses_ice else []
+    train_reports = [run_task(task, memory, backend, train_config) for task in train_tasks]
 
     backend.reset_counters()
-    test_reports = [run_task(TaskSpec.from_file(path), memory, backend, test_config)
-                    for path in spec.test_tasks]
+    test_reports = [run_task(task, memory, backend, test_config) for task in test_tasks]
 
     metrics = compute_metrics(test_reports, include_reutilization=arm.execution_ice)
     # the backend's own totals must agree with the summed per-task deltas
@@ -291,9 +290,11 @@ _ARM_ERRORS = (IceError, OSError, ValueError)
 def run_bench(spec: BenchSpec) -> BenchResult:
     """Run every arm; a failing arm is recorded and the rest still run.
 
-    Every arm's backend is built before the first arm runs, and each scenario
-    file is read once, so an arm whose backend cannot be built is known to
-    have failed before any arm spends a call."""
+    Every task file is read once first, and a bad one raises. Then every arm's
+    backend is built, each scenario file read once, so an arm whose backend
+    cannot be built is known to have failed before any arm spends a call."""
+    train_tasks = [TaskSpec.from_file(path) for path in spec.train_tasks]
+    test_tasks = [TaskSpec.from_file(path) for path in spec.test_tasks]
     scenarios: dict[Path, ScriptedScenario] = {}
     backends: list[LlmBackend | Exception] = []
     for arm in spec.arms:
@@ -306,7 +307,7 @@ def run_bench(spec: BenchSpec) -> BenchResult:
         try:
             if isinstance(backend, Exception):
                 raise backend
-            result.arms.append(run_arm(spec, arm, backend))
+            result.arms.append(run_arm(spec, arm, backend, train_tasks, test_tasks))
         except _ARM_ERRORS as exc:
             result.failures.append({"arm": arm.name, "error": str(exc)})
     return result

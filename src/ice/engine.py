@@ -13,7 +13,6 @@ signal or the automaton's End node) and its milestones hold.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -288,19 +287,20 @@ def render_plan_prompt(goal: str, reference: tuple[MemoryRecord, float] | None) 
     return f"Goal: {goal}\n" + _render_workflow_reference("Reference workflow", reference)
 
 
-def render_react_prompt(goal: Goal, traj: Trajectory) -> str:
-    lines = [
+def render_react_step(step: Step) -> str:
+    args = json.dumps(step.tool_args, ensure_ascii=False)
+    return (f"Step {step.index}: {step.tool_name}({args}) -> "
+            f"[{step.outcome.value}] {step.tool_output}")
+
+
+def render_react_prompt(goal: Goal, step_lines: list[str]) -> str:
+    """The ReACT prompt over the lines ``render_react_step`` rendered, each once."""
+    return "\n".join([
         f"Subgoal: {goal.description}",
-        f"Completed steps: {len(traj.steps)}",
+        f"Completed steps: {len(step_lines)}",
         f"Milestones: {'; '.join(goal.milestones) or 'none'}",
-    ]
-    for step in traj.steps:
-        args = json.dumps(step.tool_args, ensure_ascii=False)
-        lines.append(
-            f"Step {step.index}: {step.tool_name}({args}) -> "
-            f"[{step.outcome.value}] {step.tool_output}"
-        )
-    return "\n".join(lines)
+        *step_lines,
+    ])
 
 
 # -- reply parsing ---------------------------------------------------------------
@@ -487,7 +487,7 @@ class TaskRunner:
             # dry-run on a copy so a half-applicable reply cannot corrupt the
             # live tree before the repair re-prompt
             try:
-                apply_actions(copy.deepcopy(self.tree), actions)
+                apply_actions(self.tree.copy(), actions)
             except IceError as exc:
                 raise ValueError(str(exc)) from exc
             return actions
@@ -548,11 +548,12 @@ class TaskRunner:
 
     def react_loop(self, goal: Goal) -> Trajectory:
         traj = Trajectory(goal_id=goal.id)
+        step_lines: list[str] = []
         terminated = False
         while len(traj.steps) < self.config.max_react_steps:
             action = complete_parsed(
                 self.backend, REACT_SYSTEM,
-                render_react_prompt(goal, traj),
+                render_react_prompt(goal, step_lines),
                 CallTag.TOOL_HANDLING,
                 parse_react_reply,
                 StepParseError,
@@ -567,16 +568,16 @@ class TaskRunner:
             except UnknownTool:
                 output = f"tool error: unknown tool {action.tool_name}"
                 outcome = StepOutcome.TOOL_ERROR
-            traj.record_step(
+            step_lines.append(render_react_step(traj.record_step(
                 Step(
-                    index=0,
+                    index=len(traj.steps) + 1,
                     thought=action.thought,
                     tool_name=action.tool_name,
                     tool_args=action.tool_args,
                     tool_output=output,
                     outcome=outcome,
                 )
-            )
+            )))
         ok = terminated and evaluate_milestones(
             self._goal_milestones(goal), self.environment
         )
@@ -614,7 +615,7 @@ class TaskRunner:
                     raise PipelineRunFailed(str(exc)) from exc
                 traj.record_step(
                     Step(
-                        index=0,
+                        index=len(traj.steps) + 1,
                         thought=f"pipeline {pipeline.pipeline_name}: node {current.node_name}",
                         tool_name=current.tool_name,
                         tool_args=args,

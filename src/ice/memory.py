@@ -116,12 +116,18 @@ class Embedding:
         return float(np.ascontiguousarray(self.values) @ np.ascontiguousarray(other.values))
 
 
+@functools.lru_cache(maxsize=4096)
+def _token_bucket(token: str, dimension: int) -> int:
+    digest = hashlib.sha256(token.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") % dimension
+
+
 class LocalDeterministicEmbedder:
     """Hash each whitespace token into a bucket, count, then L2-normalize.
 
     Fully offline and stable across processes (sha256, not the salted builtin
-    hash), so snapshots and retrieval results are reproducible.
-    """
+    hash), so snapshots and retrieval results are reproducible. The buckets of
+    the 4,096 most recently used tokens are memoized."""
 
     def __init__(self, dimension: int = DEFAULT_DIMENSION) -> None:
         if dimension < 1:
@@ -131,8 +137,7 @@ class LocalDeterministicEmbedder:
     def embed(self, text: str) -> Embedding:
         counts = np.zeros(self.dimension, dtype=np.float64)
         for token in text.split():
-            digest = hashlib.sha256(token.encode("utf-8")).digest()
-            counts[int.from_bytes(digest[:8], "big") % self.dimension] += 1.0
+            counts[_token_bucket(token, self.dimension)] += 1.0
         return Embedding.from_raw(counts)
 
 

@@ -165,6 +165,14 @@ class PlanTree:
     def is_finalized(self) -> bool:
         return all(g.status is not GoalStatus.IN_PROGRESS for g in self.goals())
 
+    def copy(self) -> "PlanTree":
+        """A copy to edit apart from this tree: fresh goals and lists, sharing
+        the frozen ``GoalId``s and ``RectificationEvent``s."""
+        def copied(goal: Goal) -> Goal:
+            return Goal(goal.id, goal.description, list(goal.milestones), goal.status,
+                        [copied(child) for child in goal.children])
+        return PlanTree(copied(self.root), list(self.log))
+
     # -- operations --------------------------------------------------------
 
     def split_goal(

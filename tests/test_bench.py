@@ -18,7 +18,7 @@ from ice.bench import (
     run_arm,
     run_bench,
 )
-from ice.engine import RunConfig
+from ice.engine import RunConfig, TaskSpec
 from ice.llm import LlmBackend, ScriptedRule, ScriptedScenario
 from ice.memory import RecordKind
 from suite_builder import suite_files
@@ -161,8 +161,8 @@ def train_only(arm_spec):
     """``run_arm`` over the suite's training tasks with no test tasks, so the
     result's memory holds exactly what training stored."""
     spec = BenchSpec.from_file(SUITE_DIR / "bench.json")
-    spec.test_tasks = []
-    return run_arm(spec, arm_spec, build_backend(spec.backend, spec.base_dir))
+    train_tasks = [TaskSpec.from_file(path) for path in spec.train_tasks]
+    return run_arm(spec, arm_spec, build_backend(spec.backend, spec.base_dir), train_tasks, [])
 
 
 def test_training_command_populates_memory():
@@ -257,9 +257,9 @@ def test_bench_reads_each_scenario_once_and_builds_every_backend_first(tmp_path,
     arms_run = []
     run_arm = ice.bench.run_arm
 
-    def recorded_run_arm(spec, arm, backend):
+    def recorded_run_arm(spec, arm, backend, *tasks):
         arms_run.append((arm.name, backend, sum(reads.values())))
-        return run_arm(spec, arm, backend)
+        return run_arm(spec, arm, backend, *tasks)
 
     monkeypatch.setattr(ScriptedScenario, "from_file", classmethod(counted_from_file))
     monkeypatch.setattr("ice.bench.run_arm", recorded_run_arm)
@@ -281,6 +281,31 @@ def test_bench_reads_each_scenario_once_and_builds_every_backend_first(tmp_path,
     assert first is not second and first._scenario is second._scenario
     assert [f["arm"] for f in result.failures] == ["malformed", "missing"]
     assert [a.arm.name for a in result.arms] == ["standard", "planning"]
+
+
+def test_bench_reads_each_task_file_once_before_any_arm(monkeypatch):
+    """Each arm used to read its own task files: 48 reads of 10 files a pass."""
+    reads = Counter()
+    from_file = TaskSpec.from_file.__func__
+
+    def counted_from_file(cls, path):
+        reads[path] += 1
+        return from_file(cls, path)
+
+    read_before_arm = []
+    run_arm = ice.bench.run_arm
+
+    def recorded_run_arm(spec, arm, backend, *tasks):
+        read_before_arm.append(sum(reads.values()))
+        return run_arm(spec, arm, backend, *tasks)
+
+    monkeypatch.setattr(TaskSpec, "from_file", classmethod(counted_from_file))
+    monkeypatch.setattr("ice.bench.run_arm", recorded_run_arm)
+    spec = BenchSpec.from_file(SUITE_DIR / "bench.json")
+    result = run_bench(spec)
+    assert reads == Counter(spec.train_tasks + spec.test_tasks)
+    assert read_before_arm == [10] * len(spec.arms)
+    assert result.failures == []
 
 
 def test_metrics_report_validates_identities():

@@ -12,6 +12,7 @@ from ice.cli import main
 from ice.consolidate import DEMONSTRATIONS
 from ice.engine import RunConfig, RunMode
 from ice.errors import HttpBackendError, PlanParseError, TaskAborted
+from ice.llm import LlmBackend
 from ice.memory import ExperienceMemory
 from ice.pipeline import dumps_pipeline, pipeline_from_dict
 from ice.trajectory import Step, StepOutcome, Trajectory, TrajectoryStatus, write_trajectory_log
@@ -313,6 +314,38 @@ def test_bench_of_a_malformed_spec_exits_one_before_any_arm_runs(
     assert captured.out == ""
     assert captured.err.startswith(f"error: {config}: ")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_bench_with_a_malformed_task_file_exits_one_before_any_backend_call(
+        tmp_path, capsys, monkeypatch):
+    """The file used to be read only when an arm reached it: with it last in
+    the suite's test tasks, ``ice bench`` spent 911 calls, failed all six
+    arms and exited 3."""
+    calls = []
+    complete = LlmBackend.complete
+
+    def counted_complete(self, request):
+        calls.append(request.tag)
+        return complete(self, request)
+
+    monkeypatch.setattr(LlmBackend, "complete", counted_complete)
+    malformed = tmp_path / "malformed_task.json"
+    malformed.write_text('{"id": "t"}')
+    doc = json.loads((SUITE_DIR / "bench.json").read_text())
+    doc["backend"] = f"scripted:{SCENARIO}"
+    for key in ("train_tasks", "test_tasks"):
+        doc[key] = [str(SUITE_DIR / path) for path in doc[key]]
+    doc["test_tasks"].append(str(malformed))
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["bench", "--config", str(config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {malformed}: ")
+    assert len(captured.err.splitlines()) == 1
+    assert calls == []
+    assert not out.exists()
 
 
 def demo_log(tmp_path):

@@ -5,6 +5,8 @@ import json
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ice.engine
 from helpers import g, scripted
@@ -27,7 +29,7 @@ from ice.errors import (
     StepParseError,
     TaskAborted,
 )
-from ice.llm import REPAIR_LIMIT, CallTag
+from ice.llm import REPAIR_LIMIT, CallTag, LlmBackend
 from ice.memory import ExperienceMemory, RecordKind, pipeline_key, workflow_key
 from ice.pipeline import (
     NodeType,
@@ -113,6 +115,82 @@ def test_react_unknown_tool_becomes_tool_error_step():
     traj = runner.react_loop(leaf("wrong tool"))
     assert traj.steps[0].outcome.value == "tool_error"
     assert "unknown tool" in traj.steps[0].tool_output
+
+
+class RecordingBackend(LlmBackend):
+    """Sends ``replies`` in order and keeps the user text of every request."""
+
+    def __init__(self, replies):
+        super().__init__()
+        self.replies, self.user_texts = list(replies), []
+
+    def _complete(self, request):
+        self.user_texts.append(request.messages[-1].content)
+        return self.replies.pop(0)
+
+
+def reference_react_prompt(description, milestones, steps):
+    """The ReACT prompt as a ``(tool, args, output, outcome)`` list of earlier
+    steps renders it: three header lines, then one line per step."""
+    lines = [f"Subgoal: {description}", f"Completed steps: {len(steps)}",
+             f"Milestones: {'; '.join(milestones) or 'none'}"]
+    for number, (tool, args, output, outcome) in enumerate(steps, start=1):
+        lines.append(f"Step {number}: {tool}({json.dumps(args, ensure_ascii=False)}) -> "
+                     f"[{outcome}] {output}")
+    return "\n".join(lines)
+
+
+_ARG_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+# a known tool with its own arguments (which may run or fail), a known tool
+# with arbitrary arguments (mostly a tool error) or a name no tool has
+_REACT_CALLS = st.one_of(
+    st.builds(lambda text: ("SearchEnv_keyword_search", {"query": text}), st.text(max_size=8)),
+    st.builds(lambda path, text: ("FileSystemEnv_write_to_file",
+                                  {"filepath": path, "content": text}),
+              st.sampled_from(["notes.txt", "заметки.txt"]), st.text(max_size=8)),
+    st.builds(lambda path: ("FileSystemEnv_read_file", {"filepath": path}),
+              st.sampled_from(["notes.txt", "заметки.txt", "missing.txt"])),
+    st.tuples(st.sampled_from(["RapidAPIEnv_rapi_wayfair_products_detail",
+                               "SearchEnv_keyword_search", "NoSuchEnv_x", "Ünknown_工具"]),
+              st.dictionaries(st.text(max_size=5), _ARG_VALUES, max_size=3)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    description=st.text(min_size=1, max_size=12),
+    milestones=st.sampled_from([[], ["file_exists:notes.txt"],
+                                ["file_exists:notes.txt", "tool_called:SearchEnv_keyword_search"]]),
+    max_steps=st.integers(min_value=1, max_value=8),
+    calls=st.lists(_REACT_CALLS, max_size=8),
+    thought=st.text(max_size=8),
+)
+def test_every_react_prompt_renders_the_steps_before_it(
+        description, milestones, max_steps, calls, thought):
+    calls = calls[:max_steps]
+    replies = [json.dumps({"thought": thought, "tool_name": tool, "tool_args": args})
+               for tool, args in calls]
+    if len(calls) < max_steps:
+        replies.append(json.dumps({"thought": thought, "terminate": True}))
+    env = SimulatedEnvironment(tools=builtin_toolkit())
+    env.world.datasets.update(documents=["solar notes", "ветер notes"], products={})
+    backend = RecordingBackend(replies)
+    runner = TaskRunner(TaskSpec(task_id="t", goal="g"), ExperienceMemory(), backend,
+                        RunConfig(max_react_steps=max_steps), env)
+    traj = runner.react_loop(Goal(id=g("1"), description=description, milestones=milestones))
+
+    assert backend.replies == []
+    assert [step.index for step in traj.steps] == list(range(1, len(calls) + 1))
+    assert [(s.tool_name, s.tool_args) for s in traj.steps] == calls
+    steps = [(s.tool_name, s.tool_args, s.tool_output, s.outcome.value) for s in traj.steps]
+    assert backend.user_texts == [reference_react_prompt(description, milestones, steps[:n])
+                                  for n in range(len(replies))]
 
 
 def test_react_parse_repair_then_step_parse_error():
@@ -472,6 +550,39 @@ def test_rectify_invalid_target_feeds_repair_and_tree_stays_intact():
     tree = runner.rectify_plan(g("2"))
     assert [c.description for c in tree.find(g("2")).children] == ["fixed"]
     assert len(tree.log) == 1  # the rejected reply left no trace
+
+
+HALF_APPLICABLE = {"actions": [
+    {"kind": "split", "target": "2", "subgoals": [{"description": "beta part", "milestones": []}]},
+    {"kind": "add", "after": "99", "subgoals": [{"description": "orphan", "milestones": []}]},
+]}
+
+
+def test_a_rectify_reply_whose_second_action_fails_leaves_the_live_tree_as_it_was():
+    """The split applies and the add does not: the reply is re-prompted each
+    time, and the staged split never reaches the live tree."""
+    runner = failed_leaf_runner([{"match": "Failed subgoal: beta", "response": HALF_APPLICABLE}])
+    before = runner.tree.to_dict()
+    with pytest.raises(RectifyParseError, match="no goal with id '99'"):
+        runner.rectify_plan(g("2"))
+    assert runner.backend.counters.by_tag(CallTag.PLANNING) == REPAIR_LIMIT + 1
+    assert runner.tree.to_dict() == before
+    assert runner.tree.log == []
+
+
+def test_a_half_applicable_rectify_reply_is_re_prompted_and_only_the_repair_applies():
+    runner = failed_leaf_runner([
+        {"match": "Could not apply that reply: no goal with id '99'", "response": {"actions": [
+            {"kind": "split", "target": "2", "subgoals": [
+                {"description": "fixed", "milestones": []}]}]}},
+        {"match": "Failed subgoal: beta", "response": HALF_APPLICABLE},
+    ])
+    tree = runner.rectify_plan(g("2"))
+    assert runner.backend.counters.by_tag(CallTag.PLANNING) == 2
+    assert [c.description for c in tree.root.children] == ["alpha", "beta"]
+    assert [c.description for c in tree.find(g("2")).children] == ["fixed"]
+    assert [(ev.kind, ev.introduced) for ev in tree.log] == [
+        (RectificationKind.SPLIT, (g("2-1"),))]
 
 
 @pytest.mark.parametrize("bad_action", [

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import errno
 import gc
+import hashlib
 import json
 import random
 
@@ -34,6 +35,31 @@ def test_embed_empty_text_is_zero_vector():
     embedding = embedder.embed("")
     assert not embedding.values.any()
     assert embedding.dimension == 32
+
+
+def sha256_embedding(text, dimension):
+    """Each whitespace token counted in the bucket its sha256 names, scaled to
+    unit length."""
+    counts = np.zeros(dimension)
+    for token in text.split():
+        digest = hashlib.sha256(token.encode("utf-8")).digest()
+        counts[int.from_bytes(digest[:8], "big") % dimension] += 1.0
+    norm = np.linalg.norm(counts)
+    return counts / norm if norm else counts
+
+
+def test_embeddings_match_a_sha256_reference_bit_for_bit():
+    """More distinct tokens than the bucket memo holds, so it evicts, and the
+    texts are embedded twice over, at two dimensions sharing the memo."""
+    tokens = [f"tok{i}" if i % 3 else f"зерно{i}_工具" for i in range(5000)]
+    texts = ["", " ", "\t\n \u3000\u2003 ", "a  b\t\tb\n\na", "ü ü\u00a0ü 🌞 e\u0301"]
+    texts += [" ".join(tokens[i:i + 40]) for i in range(0, len(tokens), 40)]
+    texts += [" \n ".join(reversed(tokens[i:i + 25])) for i in range(0, len(tokens), 250)]
+    for dimension in (256, 7):
+        embedder = LocalDeterministicEmbedder(dimension=dimension)
+        for text in texts + texts:
+            assert (embedder.embed(text).values.tobytes()
+                    == sha256_embedding(text, dimension).tobytes()), (dimension, text[:40])
 
 
 def test_embed_is_deterministic():

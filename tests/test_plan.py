@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 
@@ -295,3 +296,51 @@ def test_random_split_add_sequences_keep_invariants():
             elif not target.id.is_root:
                 tree.add_goal(target.id, ("a", []))
         walk_validate(tree)
+
+
+# -- copy --------------------------------------------------------------------------------
+
+
+def test_edits_of_a_copy_leave_the_original_as_it_was():
+    tree = new_plan("root", [("a", ["file_exists:a.txt"]), ("b", []), ("c", [])])
+    finish(tree, "1", GoalStatus.FAILURE)
+    tree.split_goal(g("1"), [("a1", ["file_exists:a1.txt"])])
+    before = tree.to_dict()
+    staged = tree.copy()
+    assert staged.to_dict() == before
+    # the frozen ids and log events are shared, the goals are not
+    assert staged.log[0] is tree.log[0]
+    assert staged.find(g("1-1")).id is tree.find(g("1-1")).id
+    assert staged.find(g("1-1")) is not tree.find(g("1-1"))
+
+    staged.split_goal(g("1"), [("a2", [])])
+    staged.split_goal(g("2"), [("b1", [])])
+    staged.add_goal(g("1-1"), ("a1b", []))
+    staged.add_goal(g("3"), ("d", []))
+    staged.set_status(g("3"), GoalStatus.IN_PROGRESS)
+    staged.find(g("1-1")).milestones.append("file_exists:x.txt")
+    assert tree.to_dict() == before
+    assert len(staged.log) == 5
+
+
+def test_a_copy_edits_as_a_deep_copy_does_and_leaves_the_original_alone():
+    rng = random.Random(23)
+    for _ in range(100):
+        tree = new_plan("root", [(f"d{i}", [f"file_exists:d{i}"]) for i in range(rng.randint(0, 4))])
+        for _ in range(rng.randint(0, 6)):
+            target = rng.choice(list(tree.goals()))
+            tree.split_goal(target.id, [("s", ["file_exists:s"])] * rng.randint(0, 2))
+        before = tree.to_dict()
+        staged, oracle = tree.copy(), copy.deepcopy(tree)
+        for _ in range(rng.randint(1, 8)):
+            target = rng.choice(list(oracle.goals())).id
+            roll, count = rng.random(), rng.randint(0, 2)
+            for edited in (staged, oracle):
+                if roll < 0.4:
+                    edited.split_goal(target, [("s", [])] * count)
+                elif roll < 0.7 and not target.is_root:
+                    edited.add_goal(target, ("a", ["file_exists:a"]))
+                elif edited.find(target).status is GoalStatus.PENDING:
+                    edited.set_status(target, GoalStatus.IN_PROGRESS)
+        assert staged.to_dict() == oracle.to_dict()
+        assert tree.to_dict() == before
