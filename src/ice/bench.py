@@ -33,6 +33,7 @@ from .engine import (
     TaskSpec,
     run_task,
 )
+from .env import with_fixture_records
 from .errors import ArmFailed, IceError, read_json
 from .llm import (
     CallTag,
@@ -290,11 +291,15 @@ _ARM_ERRORS = (IceError, OSError, ValueError)
 def run_bench(spec: BenchSpec) -> BenchResult:
     """Run every arm; a failing arm is recorded and the rest still run.
 
-    Every task file is read once first, and a bad one raises. Then every arm's
-    backend is built, each scenario file read once, so an arm whose backend
-    cannot be built is known to have failed before any arm spends a call."""
+    Every task file and dataset fixture is read once first, and a bad one raises.
+    Then every arm's backend is built, each scenario file read once, so an arm
+    whose backend cannot be built is known to have failed before any arm spends a call."""
     train_tasks = [TaskSpec.from_file(path) for path in spec.train_tasks]
     test_tasks = [TaskSpec.from_file(path) for path in spec.test_tasks]
+    fixtures: dict[Path, Any] = {}
+    for task in train_tasks + test_tasks:
+        task.env_setup = [with_fixture_records(entry, task.base_dir, fixtures)
+                          for entry in task.env_setup]
     scenarios: dict[Path, ScriptedScenario] = {}
     backends: list[LlmBackend | Exception] = []
     for arm in spec.arms:

@@ -26,11 +26,11 @@ from .consolidate import (
     workflow_to_dict,
 )
 from .env import (
+    MilestoneChecks,
     SimulatedEnvironment,
     build_environment,
     evaluate_milestones,
     is_setup_entry,
-    parse_predicate,
 )
 from .errors import (
     BackendError,
@@ -170,10 +170,10 @@ class TaskSpec:
     base_dir: Path | None = None
 
     def __post_init__(self) -> None:
-        checked = {}
+        checked, checks = {}, MilestoneChecks()
         for description, milestones in self.milestones.items():
             try:
-                checked[description] = _milestone_list(milestones)
+                checked[description] = _milestone_list(milestones, checks)
             except ValueError as exc:
                 exc.args = (f"subgoal {description!r}: {exc}",)
                 raise
@@ -306,30 +306,33 @@ def render_react_prompt(goal: Goal, step_lines: list[str]) -> str:
 # -- reply parsing ---------------------------------------------------------------
 
 
-def parse_plan_reply(text: str) -> list[tuple[str, list[str]]]:
+def parse_plan_reply(text: str,
+                     checks: MilestoneChecks | None = None) -> list[tuple[str, list[str]]]:
     doc = extract_json_document(text)
     subgoals = doc.get("subgoals")
     if not isinstance(subgoals, list):
         raise ValueError('the reply needs a "subgoals" list')
-    return _parse_subgoals(subgoals)
+    return _parse_subgoals(subgoals, checks)
 
 
-def _milestone_list(value: Any) -> list[str]:
-    """A copy of ``value`` when it is a list of milestone texts that each
-    parse; otherwise ``ValueError`` (``BadPredicate`` for a text)."""
+def _milestone_list(value: Any, checks: MilestoneChecks) -> list[str]:
+    """A copy of ``value`` when it is a list of milestone texts that each parse
+    into ``checks``; otherwise ``ValueError`` (``BadPredicate`` for a text)."""
     if not isinstance(value, list) or any(not isinstance(m, str) for m in value):
         raise ValueError("milestones must be a list of strings")
     for milestone in value:
-        parse_predicate(milestone)
+        checks[milestone]
     return list(value)
 
 
-def _parse_subgoals(items: list[Any]) -> list[tuple[str, list[str]]]:
+def _parse_subgoals(items: list[Any],
+                    checks: MilestoneChecks | None) -> list[tuple[str, list[str]]]:
+    checks = MilestoneChecks() if checks is None else checks
     parsed = []
     for item in items:
         if not isinstance(item, dict) or not isinstance(item.get("description"), str):
             raise ValueError("every subgoal needs a string description")
-        parsed.append((item["description"], _milestone_list(item.get("milestones", []))))
+        parsed.append((item["description"], _milestone_list(item.get("milestones", []), checks)))
     return parsed
 
 
@@ -340,7 +343,7 @@ class RectifyAction:
     subgoals: tuple[tuple[str, list[str]], ...]
 
 
-def parse_rectify_reply(text: str) -> list[RectifyAction]:
+def parse_rectify_reply(text: str, checks: MilestoneChecks | None = None) -> list[RectifyAction]:
     doc = extract_json_document(text)
     raw_actions = doc.get("actions")
     if not isinstance(raw_actions, list) or not raw_actions:
@@ -361,7 +364,7 @@ def parse_rectify_reply(text: str) -> list[RectifyAction]:
         subgoals = raw.get("subgoals")
         if not isinstance(subgoals, list) or not subgoals:
             raise ValueError("actions need a non-empty subgoals list")
-        parsed = _parse_subgoals(subgoals)
+        parsed = _parse_subgoals(subgoals, checks)
         try:
             anchor_id = GoalId.parse(anchor)
         except InvalidGoal as exc:
@@ -423,7 +426,8 @@ class TaskRunner:
         )
         self.tree: PlanTree | None = None
         self.outcomes: list[SubgoalOutcome] = []
-        self._achieved: dict[str, bool] = {}
+        self._checks = MilestoneChecks()  # each milestone text of the run, parsed once
+        self._achieved: dict[tuple[int, ...], bool] = {}  # by ``GoalId.path``
         self._total_rectifications = 0
 
     # -- planning -----------------------------------------------------------
@@ -439,7 +443,7 @@ class TaskRunner:
             self.backend, PLANNING_SYSTEM,
             user,
             CallTag.PLANNING,
-            parse_plan_reply,
+            lambda text: parse_plan_reply(text, self._checks),
             PlanParseError,
         )
         self.tree = new_plan(self.task.goal, subgoals)
@@ -483,7 +487,7 @@ class TaskRunner:
                         anchor = tree.log[-1].introduced[0]
 
         def parse_and_stage(text: str) -> list[RectifyAction]:
-            actions = parse_rectify_reply(text)
+            actions = parse_rectify_reply(text, self._checks)
             # dry-run on a copy so a half-applicable reply cannot corrupt the
             # live tree before the repair re-prompt
             try:
@@ -579,7 +583,7 @@ class TaskRunner:
                 )
             )))
         ok = terminated and evaluate_milestones(
-            self._goal_milestones(goal), self.environment
+            self._goal_milestones(goal), self.environment, self._checks
         )
         traj.finalize(TrajectoryStatus.SUCCESS if ok else TrajectoryStatus.FAILURE)
         return traj
@@ -598,11 +602,12 @@ class TaskRunner:
         """
         traj = Trajectory(goal_id=goal.id)
         outputs: list[str] = []
-        current = pipeline.start_node()
+        table, current = pipeline.walk_table, pipeline.start_node()
         incoming: tuple[str, ...] = ()
         for _ in range(len(pipeline.nodes) + len(pipeline.edges) + 1):
             if current.node_type is NodeType.END:
-                ok = evaluate_milestones(self._goal_milestones(goal), self.environment)
+                ok = evaluate_milestones(
+                    self._goal_milestones(goal), self.environment, self._checks)
                 traj.finalize(
                     TrajectoryStatus.SUCCESS if ok else TrajectoryStatus.FAILURE
                 )
@@ -624,7 +629,7 @@ class TaskRunner:
                     )
                 )
                 outputs.append(output)
-            out_edges = pipeline.outgoing(current.node_name)
+            out_edges = table[current.node_name][1]
             if not out_edges:
                 raise PipelineRunFailed(f"dead end at node {current.node_name!r}")
             if len(out_edges) == 1:
@@ -632,7 +637,7 @@ class TaskRunner:
             else:
                 edge = self._choose_edge(pipeline, current, out_edges, outputs)
             incoming = edge.comments
-            current = pipeline.node_by_name(edge.to_node)
+            current = table[edge.to_node][0]
         raise PipelineRunFailed("the walk did not terminate")  # pragma: no cover
 
     def _pipeline_args(
@@ -706,32 +711,27 @@ class TaskRunner:
         # each ``_achieve`` records its goal, so every goal runs once
         while True:
             pending = next((child for child in parent.children
-                            if child.id.render() not in self._achieved), None)
+                            if child.id.path not in self._achieved), None)
             if pending is None:
-                return all(self._achieved[child.id.render()] for child in parent.children)
+                return all(self._achieved[child.id.path] for child in parent.children)
             self._achieve(pending)
 
     def _achieve(self, goal: Goal) -> bool:
-        key = goal.id.render()
         if goal.children:
             if goal.status is GoalStatus.PENDING:
-                self.tree.set_status(goal.id, GoalStatus.IN_PROGRESS)
+                goal.set_status(GoalStatus.IN_PROGRESS)
             ok = self._run_children(goal)
             if goal.status is GoalStatus.IN_PROGRESS:
-                self.tree.set_status(
-                    goal.id, GoalStatus.SUCCESS if ok else GoalStatus.FAILURE
-                )
-            self._achieved[key] = ok
+                goal.set_status(GoalStatus.SUCCESS if ok else GoalStatus.FAILURE)
+            self._achieved[goal.id.path] = ok
             return ok
         return self._execute_leaf(goal)
 
     def _execute_leaf(self, goal: Goal) -> bool:
-        self.tree.set_status(goal.id, GoalStatus.IN_PROGRESS)
+        goal.set_status(GoalStatus.IN_PROGRESS)
         outcome = self.handle_subgoal(goal)
         self.outcomes.append(outcome)
-        self.tree.set_status(
-            goal.id, GoalStatus.SUCCESS if outcome.success else GoalStatus.FAILURE
-        )
+        goal.set_status(GoalStatus.SUCCESS if outcome.success else GoalStatus.FAILURE)
         # a goal is executed once, so its rectification count is local
         achieved = outcome.success
         attempts = 0
@@ -762,7 +762,7 @@ class TaskRunner:
                 # failure no longer blocks the parent (the siblings still
                 # have to succeed on their own)
                 achieved = True
-        self._achieved[goal.id.render()] = achieved
+        self._achieved[goal.id.path] = achieved
         return achieved
 
     # -- full run -----------------------------------------------------------------

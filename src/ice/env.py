@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .errors import BadPredicate, UnknownTool, read_json
 from .trajectory import StepOutcome
@@ -22,10 +22,12 @@ __all__ = [
     "WorldState",
     "SimulatedEnvironment",
     "parse_predicate",
+    "MilestoneChecks",
     "evaluate_milestones",
     "builtin_toolkit",
     "is_setup_entry",
     "build_environment",
+    "with_fixture_records",
 ]
 
 
@@ -73,13 +75,11 @@ class SimulatedEnvironment:
 
     def __init__(
         self,
-        tools: list[ToolSpec] | None = None,
+        tools: Iterable[ToolSpec] | None = None,
         world: WorldState | None = None,
     ) -> None:
-        self._tools: dict[str, ToolSpec] = {}
+        self._tools: dict[str, ToolSpec] = {tool.name: tool for tool in tools or ()}
         self.world = world or WorldState()
-        for tool in tools or []:
-            self.register(tool)
 
     def register(self, tool: ToolSpec) -> None:
         self._tools[tool.name] = tool
@@ -149,9 +149,20 @@ def parse_predicate(text: str) -> Callable[[WorldState], bool]:
     raise BadPredicate(f"cannot parse milestone predicate {text!r}")
 
 
-def evaluate_milestones(milestones: list[str], env: SimulatedEnvironment) -> bool:
-    """Conjunction over the goal's predicates; vacuously true when empty."""
-    return all(parse_predicate(m)(env.world) for m in milestones)
+class MilestoneChecks(dict):
+    """Milestone text -> its check; a text is parsed on its first lookup."""
+
+    def __missing__(self, text: str) -> Callable[[WorldState], bool]:
+        check = self[text] = parse_predicate(text)
+        return check
+
+
+def evaluate_milestones(milestones: list[str], env: SimulatedEnvironment,
+                        checks: MilestoneChecks | None = None) -> bool:
+    """Conjunction over the goal's predicates; vacuously true when empty. A
+    text already in ``checks`` is not parsed again."""
+    checks = MilestoneChecks() if checks is None else checks
+    return all(checks[m](env.world) for m in milestones)
 
 
 # -- builtin demo tools --------------------------------------------------------
@@ -237,6 +248,10 @@ def builtin_toolkit() -> list[ToolSpec]:
     ]
 
 
+#: Built once: every environment copies these into a dict of its own.
+_BUILTIN_TOOLS = tuple(builtin_toolkit())
+
+
 def is_setup_entry(entry: Any) -> bool:
     """Whether ``entry`` has one of the shapes ``build_environment`` reads."""
     if not isinstance(entry, dict):
@@ -271,24 +286,38 @@ def build_environment(
         {"file": {"path": "notes.txt", "content": "..."}}
 
     A dataset a built-in tool reads (``documents``, ``products``, ``reviews``)
-    of another shape raises ``ValueError``; other datasets are free-form.
+    of another shape raises ``ValueError`` naming its fixture; other datasets
+    are free-form. An entry with both ``records`` and a ``fixture`` reads no file.
     """
-    env = SimulatedEnvironment(tools=builtin_toolkit())
-    base = Path(base_dir) if base_dir is not None else Path.cwd()
+    env = SimulatedEnvironment(_BUILTIN_TOOLS)
     for entry in env_setup:
         if not is_setup_entry(entry):
             raise ValueError(f"unrecognized env_setup entry: {entry}")
         if "dataset" in entry:
-            name, source = entry["dataset"], ""
-            if "records" in entry:
-                records = entry["records"]
-            else:
-                path = base / entry["fixture"]
-                records, source = read_json(path), f"{path}: "
+            name = entry["dataset"]
+            records = entry["records"] if "records" in entry else read_json(
+                _fixture_path(entry, base_dir))
             shape, holds = _DATASET_SHAPES.get(name, (None, None))
             if holds and not holds(records):
+                source = f"{_fixture_path(entry, base_dir)}: " if "fixture" in entry else ""
                 raise ValueError(f"{source}env_setup dataset {name!r} must be {shape}")
             env.world.datasets[name] = records
         else:
             env.world.files[entry["file"]["path"]] = entry["file"]["content"]
     return env
+
+
+def _fixture_path(entry: dict[str, Any], base_dir: str | Path | None) -> Path:
+    return (Path.cwd() if base_dir is None else Path(base_dir)) / entry["fixture"]
+
+
+def with_fixture_records(entry: dict[str, Any], base_dir: str | Path | None,
+                         fixtures: dict[Path, Any]) -> dict[str, Any]:
+    """``entry`` with the value of the dataset fixture it names as ``records``;
+    a file is read once per ``fixtures`` dict, and its entries share the value."""
+    if "dataset" not in entry or "records" in entry:
+        return entry
+    path = _fixture_path(entry, base_dir)
+    if path not in fixtures:
+        fixtures[path] = read_json(path)
+    return {**entry, "records": fixtures[path]}

@@ -112,6 +112,10 @@ def render_request(request: CompletionRequest) -> str:
     return "\n".join(lines)
 
 
+#: Each tag's value in ``CallTag`` order (``Enum.value`` is a Python-level property).
+_TAG_VALUES = tuple(tag.value for tag in CallTag)
+
+
 class CallCounters:
     """Totals per tag."""
 
@@ -125,7 +129,7 @@ class CallCounters:
         return self._by_tag[tag]
 
     def snapshot(self) -> dict[str, Any]:
-        by_tag = {tag.value: count for tag, count in self._by_tag.items()}
+        by_tag = dict(zip(_TAG_VALUES, self._by_tag.values()))
         return {"all": sum(by_tag.values()), "by_tag": by_tag}
 
     def reset(self) -> None:
@@ -134,10 +138,8 @@ class CallCounters:
 
 
 def counters_delta(before: dict[str, Any], after: dict[str, Any]) -> dict[str, Any]:
-    by_tag = {
-        tag.value: after["by_tag"][tag.value] - before["by_tag"][tag.value]
-        for tag in CallTag
-    }
+    old, new = before["by_tag"], after["by_tag"]
+    by_tag = {tag: new[tag] - old[tag] for tag in _TAG_VALUES}
     return {"all": sum(by_tag.values()), "by_tag": by_tag}
 
 

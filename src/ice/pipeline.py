@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from typing import Any
 
@@ -68,11 +69,14 @@ class PipelineAutomaton:
     nodes: list[PipelineNode] = field(default_factory=list)
     edges: list[PipelineEdge] = field(default_factory=list)
 
-    def node_by_name(self, name: str) -> PipelineNode:
-        for node in self.nodes:
-            if node.node_name == name:
-                return node
-        raise KeyError(name)
+    @cached_property
+    def walk_table(self) -> dict[str, tuple[PipelineNode, list[PipelineEdge]]]:
+        """Each node by name, with its out-edges in list order. Built on the first
+        walk and kept: an automaton is not changed once it is walked."""
+        table = {node.node_name: (node, []) for node in self.nodes}
+        for edge in self.edges:
+            table[edge.from_node][1].append(edge)
+        return table
 
     def outgoing(self, node_name: str) -> list[PipelineEdge]:
         return [e for e in self.edges if e.from_node == node_name]

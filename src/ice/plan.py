@@ -108,6 +108,12 @@ class Goal:
     def is_leaf(self) -> bool:
         return not self.children
 
+    def set_status(self, status: GoalStatus) -> None:
+        if (self.status, status) not in LEGAL_STATUS_TRANSITIONS:
+            raise IllegalTransition(f"{self.status.value} -> {status.value} is not "
+                                    f"allowed for goal {self.id.render()!r}")
+        self.status = status
+
 
 class RectificationKind(str, Enum):
     SPLIT = "split"
@@ -220,13 +226,7 @@ class PlanTree:
         return self
 
     def set_status(self, target: GoalId, status: GoalStatus) -> "PlanTree":
-        goal = self.find(target)
-        if (goal.status, status) not in LEGAL_STATUS_TRANSITIONS:
-            raise IllegalTransition(
-                f"{goal.status.value} -> {status.value} is not allowed "
-                f"for goal {target.render()!r}"
-            )
-        goal.status = status
+        self.find(target).set_status(status)
         return self
 
     def _log_event(

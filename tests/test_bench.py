@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 import ice.bench
+import ice.env
 from conftest import SUITE_DIR
 from ice.bench import (
     ArmSpec,
@@ -306,6 +307,39 @@ def test_bench_reads_each_task_file_once_before_any_arm(monkeypatch):
     assert reads == Counter(spec.train_tasks + spec.test_tasks)
     assert read_before_arm == [10] * len(spec.arms)
     assert result.failures == []
+
+
+def test_bench_reads_each_dataset_fixture_once(monkeypatch):
+    """Every task run used to read its fixture: 47 reads of 5 files a pass."""
+    reads = Counter()
+    read_json = ice.env.read_json
+
+    def counted_read_json(path):
+        reads[path] += 1
+        return read_json(path)
+
+    monkeypatch.setattr(ice.env, "read_json", counted_read_json)
+    result = run_bench(BenchSpec.from_file(SUITE_DIR / "bench.json"))
+    assert result.failures == []
+    assert reads == Counter(SUITE_DIR / "tasks" / "fixtures" / f"docs_{topic}.json" for topic in (
+        "solar_markets", "battery_storage", "carbon_offsets", "grid_software", "wind_turbines"))
+
+
+def test_a_bench_task_whose_fixture_is_not_json_fails_before_any_backend_call(
+        tmp_path, monkeypatch):
+    """It used to fail each arm that ran the task, when the arm reached it."""
+    (tmp_path / "docs.json").write_text("{")
+    task = json.loads((SUITE_DIR / "tasks" / "test_solar_markets.json").read_text())
+    task["env_setup"] = [{"dataset": "documents", "fixture": "docs.json"}]
+    (tmp_path / "task.json").write_text(json.dumps(task))
+    spec = BenchSpec.from_file(SUITE_DIR / "bench.json")
+    spec.test_tasks = [tmp_path / "task.json"]
+    backends = []
+    monkeypatch.setattr(ice.bench, "build_backend", lambda *args: backends.append(args))
+    with pytest.raises(ValueError) as caught:
+        run_bench(spec)
+    assert str(caught.value).startswith(f"{tmp_path / 'docs.json'}: ")
+    assert backends == []
 
 
 def test_metrics_report_validates_identities():

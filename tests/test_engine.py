@@ -3,12 +3,15 @@ from __future__ import annotations
 import gc
 import json
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ice.engine
+import ice.env
+from conftest import SUITE_DIR
 from helpers import g, scripted
 from ice.consolidate import DEMONSTRATIONS
 from ice.engine import (
@@ -29,7 +32,7 @@ from ice.errors import (
     StepParseError,
     TaskAborted,
 )
-from ice.llm import REPAIR_LIMIT, CallTag, LlmBackend
+from ice.llm import REPAIR_LIMIT, CallTag, LlmBackend, ScriptedBackend, ScriptedScenario
 from ice.memory import ExperienceMemory, RecordKind, pipeline_key, workflow_key
 from ice.pipeline import (
     NodeType,
@@ -38,7 +41,7 @@ from ice.pipeline import (
     PipelineNode,
     pipeline_to_dict,
 )
-from ice.plan import Goal, GoalStatus, RectificationKind, new_plan
+from ice.plan import Goal, GoalId, GoalStatus, RectificationKind, new_plan
 from ice.trajectory import TrajectoryStatus
 
 
@@ -1121,3 +1124,66 @@ def test_report_counters_are_per_task_deltas():
     second = run_task(note_task(), second_memory, backend,
                       RunConfig(mode=RunMode.TRAIN))
     assert first.counters == second.counters
+
+
+# -- fixed per-task work, counted over runs through the scripted suite ------------
+
+
+def _suite_run(monkeypatch, config, counted):
+    """Train a memory on the suite's solar-markets task, then run its test task
+    under ``config`` with each ``(owner, name)`` in ``counted`` wrapped to count
+    its calls (a module function also in every ``ice`` module that imports
+    it); return the report and the argument tuples of each name's calls."""
+    scenario = ScriptedScenario.from_file(str(SUITE_DIR / "scenario.json"))
+    memory = ExperienceMemory()
+    run_task(TaskSpec.from_file(SUITE_DIR / "tasks" / "train_solar_markets.json"), memory,
+             ScriptedBackend(scenario), RunConfig(mode=RunMode.TRAIN))
+    task = TaskSpec.from_file(SUITE_DIR / "tasks" / "test_solar_markets.json")
+    calls = {name: [] for _, name in counted}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name].append(args)
+            return fn(*args)
+        return wrapper
+
+    for owner, name in counted:
+        original = getattr(owner, name)
+        owners = [owner] if isinstance(owner, type) else [
+            module for module in (ice.env, ice.engine)
+            if getattr(module, name, None) is original]
+        for module in owners:
+            monkeypatch.setattr(module, name, counting(name, original))
+    report = run_task(task, memory, ScriptedBackend(scenario), config)
+    return report, calls
+
+
+SUITE_CONFIGS = {
+    "standard": RunConfig(),
+    "planning-execution": RunConfig(planning_ice=True, execution_ice=True),
+}
+
+
+@pytest.mark.parametrize("config", list(SUITE_CONFIGS.values()), ids=list(SUITE_CONFIGS))
+def test_a_task_run_parses_each_milestone_text_once(monkeypatch, config):
+    """The reply parser and the judging used to parse every text apart, and the
+    judging again on each evaluation."""
+    report, calls = _suite_run(monkeypatch, config, [(ice.env, "parse_predicate")])
+    texts = Counter(args[0] for args in calls["parse_predicate"])
+    assert texts and max(texts.values()) == 1
+    assert set(texts) == {m for goal in report.plan.goals() for m in goal.milestones}
+
+
+@pytest.mark.parametrize("config", list(SUITE_CONFIGS.values()), ids=list(SUITE_CONFIGS))
+def test_a_task_run_builds_no_tool(monkeypatch, config):
+    """``build_environment`` used to build the five built-in tools per task."""
+    _, calls = _suite_run(monkeypatch, config, [(ice.env, "builtin_toolkit")])
+    assert calls["builtin_toolkit"] == []
+
+
+def test_the_plan_walk_renders_no_goal_id_when_nothing_is_rectified(monkeypatch):
+    """The walk used to key the goals it had run by their rendered ids."""
+    report, calls = _suite_run(monkeypatch, SUITE_CONFIGS["planning-execution"],
+                               [(GoalId, "render")])
+    assert report.rectifications == 0 and len(report.outcomes) == 3
+    assert calls["render"] == []

@@ -6,6 +6,7 @@ import pytest
 
 from ice.env import (
     SimulatedEnvironment,
+    ToolSpec,
     build_environment,
     builtin_toolkit,
     evaluate_milestones,
@@ -219,3 +220,26 @@ def test_build_environment_rejects_unknown_entries():
         build_environment([{"mystery": 1}])
     with pytest.raises(ValueError):
         build_environment([{"dataset": "x"}])
+
+
+def test_environments_share_no_tool_table_and_no_world():
+    """Environments start from one tool table built at import; a tool
+    registered, or a file written, in one reaches no other environment and
+    not ``builtin_toolkit``."""
+    names = [tool.name for tool in builtin_toolkit()]
+    first = build_environment([{"file": {"path": "seed.txt", "content": "seeded"}}])
+    second = build_environment([])
+    first.register(ToolSpec("ExtraEnv_echo", {}, lambda args, world: "echo"))
+    first.register(ToolSpec(names[0], {}, lambda args, world: "replaced"))
+    first.invoke("FileSystemEnv_write_to_file", {"filepath": "a.txt", "content": "a"})
+    assert first.invoke("ExtraEnv_echo", {}) == ("echo", StepOutcome.OK)
+    with pytest.raises(UnknownTool):
+        second.invoke("ExtraEnv_echo", {})
+    assert second.world.files == {} and second.world.invocation_log == []
+    assert second.tool_names() == names
+    assert first.invoke(names[0], {})[0] == "replaced"
+    assert second.invoke(names[0], {"sku": "A"})[1] is StepOutcome.TOOL_ERROR
+    toolkit = builtin_toolkit()
+    toolkit.clear()
+    assert [tool.name for tool in builtin_toolkit()] == names
+    assert build_environment([]).tool_names() == names
