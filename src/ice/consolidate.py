@@ -41,6 +41,7 @@ __all__ = [
     "workflow_to_dict",
     "consolidation_system_prompt",
     "render_tool_records",
+    "encode_json",
     "extract_json_document",
     "DEMONSTRATIONS",
 ]
@@ -284,15 +285,29 @@ DEMONSTRATIONS: tuple[ConsolidationDemo, ConsolidationDemo] = (
 )
 
 
+# One encoder and one decoder for every call: ``json.dumps`` with an argument
+# builds a ``JSONEncoder`` per call, and ``json.loads`` wraps the decoder. The C
+# encoder leaves the markers of a failed call behind, so they are cleared.
+_MARKERS: dict[int, Any] = {}
+_ENCODE = json.encoder.c_make_encoder(
+    _MARKERS, json.JSONEncoder().default, json.encoder.encode_basestring, None, ": ", ", ",
+    False, False, True)
+_DECODER = json.JSONDecoder()
+
+
+def encode_json(value: Any) -> str:
+    """The text of ``json.dumps(value, ensure_ascii=False)``; a circular value
+    raises ``ValueError`` and a value JSON cannot hold ``TypeError``."""
+    try:
+        return "".join(_ENCODE(value, 0))
+    finally:
+        _MARKERS.clear()
+
+
 def render_tool_records(records: tuple[tuple[str, dict[str, Any], str], ...] | list) -> str:
-    blocks = []
-    for tool_name, tool_args, tool_output in records:
-        blocks.append(
-            f"Tool Name: {tool_name}\n"
-            f"Tool Arguments: {json.dumps(tool_args, ensure_ascii=False)}\n"
-            f'Tool Output: "{tool_output}"'
-        )
-    return "\n\n".join(blocks)
+    return "\n\n".join(f"Tool Name: {tool_name}\nTool Arguments: {encode_json(tool_args)}\n"
+                       f'Tool Output: "{tool_output}"'
+                       for tool_name, tool_args, tool_output in records)
 
 
 def _render_demo(index: int, demo: ConsolidationDemo) -> str:
@@ -335,18 +350,19 @@ def extract_json_document(text: str) -> dict[str, Any]:
         if stripped.startswith("json"):
             stripped = stripped[4:]
         stripped = stripped.strip()
+    # a candidate has no whitespace at either end, so ``decode`` would accept
+    # exactly a document that ends where the candidate does
     for candidate in (stripped, "{" + stripped + "}"):
         try:
-            doc = json.loads(candidate)
+            doc, end = _DECODER.raw_decode(candidate)
         except (json.JSONDecodeError, RecursionError):
             continue
-        if isinstance(doc, dict):
+        if end == len(candidate) and isinstance(doc, dict):
             return doc
-    decoder = json.JSONDecoder()
     start = stripped.find("{")
     while start != -1:
         try:
-            doc, _ = decoder.raw_decode(stripped[start:])
+            doc, _ = _DECODER.raw_decode(stripped[start:])
         except (json.JSONDecodeError, RecursionError):
             start = stripped.find("{", start + 1)
             continue

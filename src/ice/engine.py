@@ -13,15 +13,15 @@ signal or the automaton's End node) and its milestones hold.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from .consolidate import (
     consolidate_pipeline,
     consolidate_workflows,
+    encode_json,
     extract_json_document,
     workflow_to_dict,
 )
@@ -91,6 +91,12 @@ MAX_RECTIFICATIONS_PER_GOAL = 2
 #: with fresh budgets, so a backend that keeps splitting would grow the tree
 #: forever.
 MAX_RECTIFICATIONS_PER_TASK = 12
+
+# the members the loops below read, read once: every read through an Enum class
+# goes through the Python-level hook of ``EnumType.__getattr__``, and ``.value``
+# is a property over the field ``_value_``
+_END, _TOOL_SERVER, _TOOL_ERROR = NodeType.END, NodeType.TOOL_SERVER, StepOutcome.TOOL_ERROR
+_SUCCESS, _FAILURE = TrajectoryStatus.SUCCESS, TrajectoryStatus.FAILURE
 
 
 class RunMode(str, Enum):
@@ -288,9 +294,8 @@ def render_plan_prompt(goal: str, reference: tuple[MemoryRecord, float] | None) 
 
 
 def render_react_step(step: Step) -> str:
-    args = json.dumps(step.tool_args, ensure_ascii=False)
-    return (f"Step {step.index}: {step.tool_name}({args}) -> "
-            f"[{step.outcome.value}] {step.tool_output}")
+    return (f"Step {step.index}: {step.tool_name}({encode_json(step.tool_args)}) -> "
+            f"[{step.outcome._value_}] {step.tool_output}")
 
 
 def render_react_prompt(goal: Goal, step_lines: list[str]) -> str:
@@ -379,28 +384,25 @@ def parse_rectify_reply(text: str, checks: MilestoneChecks | None = None) -> lis
     return actions
 
 
-@dataclass(frozen=True)
-class ReactAction:
+class ReactAction(NamedTuple):
     thought: str
     terminate: bool
-    tool_name: str = ""
-    tool_args: dict[str, Any] = field(default_factory=dict)
+    tool_name: str
+    tool_args: dict[str, Any]
 
 
 def parse_react_reply(text: str) -> ReactAction:
     doc = extract_json_document(text)
     thought = doc.get("thought", "")
     if doc.get("terminate") is True:
-        return ReactAction(thought=thought, terminate=True)
+        return ReactAction(thought, True, "", {})
     tool_name = doc.get("tool_name")
     tool_args = doc.get("tool_args", {})
     if not isinstance(tool_name, str) or not tool_name:
         raise ValueError("the reply needs a tool_name or terminate=true")
     if not isinstance(tool_args, dict):
         raise ValueError("tool_args must be an object")
-    return ReactAction(
-        thought=thought, terminate=False, tool_name=tool_name, tool_args=tool_args
-    )
+    return ReactAction(thought, False, tool_name, tool_args)
 
 
 # -- the runner ------------------------------------------------------------------
@@ -547,21 +549,17 @@ class TaskRunner:
             method=ExecutionMethod.REACT,
             trajectory=traj,
             pipeline_used=None,
-            success=traj.final_status is TrajectoryStatus.SUCCESS,
+            success=traj.final_status is _SUCCESS,
         )
 
     def react_loop(self, goal: Goal) -> Trajectory:
         traj = Trajectory(goal_id=goal.id)
         step_lines: list[str] = []
         terminated = False
-        while len(traj.steps) < self.config.max_react_steps:
-            action = complete_parsed(
-                self.backend, REACT_SYSTEM,
-                render_react_prompt(goal, step_lines),
-                CallTag.TOOL_HANDLING,
-                parse_react_reply,
-                StepParseError,
-            )
+        tag, max_steps = CallTag.TOOL_HANDLING, self.config.max_react_steps
+        while len(traj.steps) < max_steps:
+            action = complete_parsed(self.backend, REACT_SYSTEM, render_react_prompt(
+                goal, step_lines), tag, parse_react_reply, StepParseError)
             if action.terminate:
                 terminated = True
                 break
@@ -571,21 +569,14 @@ class TaskRunner:
                 )
             except UnknownTool:
                 output = f"tool error: unknown tool {action.tool_name}"
-                outcome = StepOutcome.TOOL_ERROR
-            step_lines.append(render_react_step(traj.record_step(
-                Step(
-                    index=len(traj.steps) + 1,
-                    thought=action.thought,
-                    tool_name=action.tool_name,
-                    tool_args=action.tool_args,
-                    tool_output=output,
-                    outcome=outcome,
-                )
-            )))
+                outcome = _TOOL_ERROR
+            step_lines.append(render_react_step(traj.record_step(Step(
+                len(traj.steps) + 1, action.thought, action.tool_name, action.tool_args,
+                output, outcome))))
         ok = terminated and evaluate_milestones(
             self._goal_milestones(goal), self.environment, self._checks
         )
-        traj.finalize(TrajectoryStatus.SUCCESS if ok else TrajectoryStatus.FAILURE)
+        traj.finalize(_SUCCESS if ok else _FAILURE)
         return traj
 
     def run_pipeline(
@@ -605,29 +596,21 @@ class TaskRunner:
         table, current = pipeline.walk_table, pipeline.start_node()
         incoming: tuple[str, ...] = ()
         for _ in range(len(pipeline.nodes) + len(pipeline.edges) + 1):
-            if current.node_type is NodeType.END:
+            if current.node_type is _END:
                 ok = evaluate_milestones(
                     self._goal_milestones(goal), self.environment, self._checks)
-                traj.finalize(
-                    TrajectoryStatus.SUCCESS if ok else TrajectoryStatus.FAILURE
-                )
+                traj.finalize(_SUCCESS if ok else _FAILURE)
                 return traj, ok
-            if current.node_type is NodeType.TOOL_SERVER:
+            if current.node_type is _TOOL_SERVER:
                 args = self._pipeline_args(pipeline, current, goal, incoming, outputs)
                 try:
                     output, outcome = self.environment.invoke(current.tool_name, args)
                 except UnknownTool as exc:
                     raise PipelineRunFailed(str(exc)) from exc
-                traj.record_step(
-                    Step(
-                        index=len(traj.steps) + 1,
-                        thought=f"pipeline {pipeline.pipeline_name}: node {current.node_name}",
-                        tool_name=current.tool_name,
-                        tool_args=args,
-                        tool_output=output,
-                        outcome=outcome,
-                    )
-                )
+                traj.record_step(Step(
+                    len(traj.steps) + 1,
+                    f"pipeline {pipeline.pipeline_name}: node {current.node_name}",
+                    current.tool_name, args, output, outcome))
                 outputs.append(output)
             out_edges = table[current.node_name][1]
             if not out_edges:

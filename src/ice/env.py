@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .errors import BadPredicate, UnknownTool, read_json
 from .trajectory import StepOutcome
@@ -36,8 +36,7 @@ class ToolFailure(Exception):
     propagated to callers."""
 
 
-@dataclass
-class InvocationRecord:
+class InvocationRecord(NamedTuple):
     tool: str
     args: dict[str, Any]
     outcome: StepOutcome
@@ -51,6 +50,9 @@ class WorldState:
 
 
 Behavior = Callable[[dict[str, Any], WorldState], str]
+
+# read once: a read through an Enum class goes through ``EnumType.__getattr__``
+_OK, _TOOL_ERROR = StepOutcome.OK, StepOutcome.TOOL_ERROR
 
 _ARG_TYPES: dict[str, type | tuple[type, ...]] = {
     "str": str,
@@ -96,15 +98,13 @@ class SimulatedEnvironment:
             raise UnknownTool(f"no tool named {name!r}")
         problem = self._check_args(tool, args)
         if problem is not None:
-            output, outcome = problem, StepOutcome.TOOL_ERROR
+            output, outcome = problem, _TOOL_ERROR
         else:
             try:
-                output, outcome = tool.behavior(args, self.world), StepOutcome.OK
+                output, outcome = tool.behavior(args, self.world), _OK
             except ToolFailure as exc:
-                output, outcome = str(exc), StepOutcome.TOOL_ERROR
-        self.world.invocation_log.append(
-            InvocationRecord(tool=name, args=dict(args), outcome=outcome)
-        )
+                output, outcome = str(exc), _TOOL_ERROR
+        self.world.invocation_log.append(InvocationRecord(name, dict(args), outcome))
         return output, outcome
 
     @staticmethod
@@ -201,11 +201,10 @@ def _read_file(args: dict[str, Any], world: WorldState) -> str:
 
 def _keyword_search(args: dict[str, Any], world: WorldState) -> str:
     query = args["query"]
-    tokens = [t for t in query.lower().split() if t]
+    tokens = query.lower().split()
     documents = world.datasets.get("documents", [])
-    matches = [
-        doc for doc in documents if all(token in doc.lower() for token in tokens)
-    ]
+    matches = [doc for doc, lowered in zip(documents, map(str.lower, documents))
+               if all(token in lowered for token in tokens)]
     if not matches:
         return f"No results for {query}."
     return "\n".join(matches)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .errors import HttpBackendError, NoScenarioMatch, read_json
 
@@ -62,21 +62,29 @@ class Role(str, Enum):
     ASSISTANT = "Assistant"
 
 
-@dataclass(frozen=True)
-class Message:
+_USER = Role.USER  # read once: a read through ``Role`` goes through ``EnumType.__getattr__``
+
+
+class Message(NamedTuple):
     role: Role
     content: str
 
 
-@dataclass(frozen=True)
-class CompletionRequest:
+class _Request(NamedTuple):
     system: str
     messages: tuple[Message, ...]
     tag: CallTag
 
-    def __post_init__(self) -> None:
-        if not self.messages:
+
+class CompletionRequest(_Request):
+    """A system text, at least one message, and what the call is for."""
+
+    __slots__ = ()
+
+    def __new__(cls, system: str, messages: tuple[Message, ...], tag: CallTag):
+        if not messages:
             raise ValueError("a completion request needs at least one message")
+        return tuple.__new__(cls, (system, messages, tag))
 
 
 def _retry_text(exc: ValueError) -> str:
@@ -89,15 +97,15 @@ def complete_parsed(backend: LlmBackend, system: str, user: str, tag: CallTag,
     """Call the backend and parse the reply. A ``ValueError`` from ``parse``
     appends the reply and ``retry(exc)`` to the conversation and asks again,
     up to ``REPAIR_LIMIT`` re-prompts; then ``error`` is raised."""
-    messages = [Message(Role.USER, user)]
+    messages = (Message(_USER, user),)
     last: ValueError | None = None
     for _ in range(REPAIR_LIMIT + 1):
-        reply = backend.complete(CompletionRequest(system, tuple(messages), tag))
+        reply = backend.complete(CompletionRequest(system, messages, tag))
         try:
             return parse(reply)
         except ValueError as exc:
             last = exc
-            messages += [Message(Role.ASSISTANT, reply), Message(Role.USER, retry(exc))]
+            messages += (Message(Role.ASSISTANT, reply), Message(_USER, retry(exc)))
     raise error(f"repair limit exhausted: {last}")
 
 

@@ -8,11 +8,10 @@ decides whether the trajectory counts as successful.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import AppendAfterFinalize, InvalidGoal, NonLeafTrajectory, read_json
 from .plan import GoalId, GoalStatus, PlanTree
@@ -38,8 +37,7 @@ class TrajectoryStatus(str, Enum):
     FAILURE = "failure"
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One tool invocation inside a trajectory. Indexes are 1-based."""
 
     index: int
@@ -62,13 +60,13 @@ class Trajectory:
 
     def record_step(self, step: Step) -> Step:
         """Append a step, forcing the next contiguous index."""
-        if self.is_finalized:
+        if self.final_status is not None:
             raise AppendAfterFinalize(
                 f"trajectory for {self.goal_id.render()!r} is finalized"
             )
         expected = len(self.steps) + 1
         if step.index != expected:
-            step = dataclasses.replace(step, index=expected)
+            step = step._replace(index=expected)
         self.steps.append(step)
         return step
 
@@ -101,16 +99,9 @@ class Trajectory:
     def from_dict(cls, doc: dict[str, Any]) -> "Trajectory":
         traj = cls(goal_id=GoalId.parse(doc["goal_id"]))
         for i, raw in enumerate(doc.get("steps", []), start=1):
-            traj.steps.append(
-                Step(
-                    index=i,
-                    thought=raw.get("thought", ""),
-                    tool_name=raw["tool_name"],
-                    tool_args=dict(raw.get("tool_args", {})),
-                    tool_output=raw.get("tool_output", ""),
-                    outcome=StepOutcome(raw.get("outcome", "ok")),
-                )
-            )
+            traj.steps.append(Step(
+                i, raw.get("thought", ""), raw["tool_name"], dict(raw.get("tool_args", {})),
+                raw.get("tool_output", ""), StepOutcome(raw.get("outcome", "ok"))))
         status = doc.get("final_status")
         if status is not None:
             traj.final_status = TrajectoryStatus(status)

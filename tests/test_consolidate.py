@@ -5,6 +5,8 @@ import random
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA_DIR
 from helpers import (
@@ -21,6 +23,7 @@ from ice.consolidate import (
     consolidate_workflows,
     consolidation_system_prompt,
     consolidation_user_text,
+    encode_json,
     extract_json_document,
     render_tool_records,
     workflow_to_dict,
@@ -240,6 +243,37 @@ def test_extract_json_document_variants():
     assert extract_json_document("Here you go: {\"a\": 1} hope it helps") == doc
     with pytest.raises(ValueError):
         extract_json_document("no json at all")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+@example({"pfad": "b\u00e9r\u00e9nice/\u6587\u66f8.md", "n": [1.5, -0.0, 1e300, 10**30]})
+@example([float("nan"), float("inf"), -float("inf"), {}, [], [[{}]], ""])
+@example("\ud800 \u2028 \x00 \"q\" \\")
+def test_encode_json_writes_the_text_of_json_dumps(value):
+    assert encode_json(value) == json.dumps(value, ensure_ascii=False)
+
+
+def test_encode_json_rejects_a_circular_value_and_forgets_a_failed_call():
+    looped = {"a": []}
+    looped["a"].append(looped)
+    with pytest.raises(ValueError, match="Circular reference"):
+        encode_json(looped)
+    # the markers a failed call left behind would flag this dict as a cycle
+    looped["a"].clear()
+    assert encode_json(looped) == '{"a": []}'
+    unencodable = [looped, {1}]
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            encode_json(unencodable)
 
 
 def test_render_tool_records_layout():

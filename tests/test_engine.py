@@ -16,13 +16,20 @@ from helpers import g, scripted
 from ice.consolidate import DEMONSTRATIONS
 from ice.engine import (
     ExecutionMethod,
+    ReactAction,
     RunConfig,
     RunMode,
     TaskRunner,
     TaskSpec,
+    parse_react_reply,
     run_task,
 )
-from ice.env import SimulatedEnvironment, builtin_toolkit
+from ice.env import (
+    InvocationRecord,
+    SimulatedEnvironment,
+    builtin_toolkit,
+    with_fixture_records,
+)
 from ice.errors import (
     BadPredicate,
     ConsolidationFailed,
@@ -32,7 +39,16 @@ from ice.errors import (
     StepParseError,
     TaskAborted,
 )
-from ice.llm import REPAIR_LIMIT, CallTag, LlmBackend, ScriptedBackend, ScriptedScenario
+from ice.llm import (
+    REPAIR_LIMIT,
+    CallTag,
+    CompletionRequest,
+    LlmBackend,
+    Message,
+    Role,
+    ScriptedBackend,
+    ScriptedScenario,
+)
 from ice.memory import ExperienceMemory, RecordKind, pipeline_key, workflow_key
 from ice.pipeline import (
     NodeType,
@@ -42,7 +58,7 @@ from ice.pipeline import (
     pipeline_to_dict,
 )
 from ice.plan import Goal, GoalId, GoalStatus, RectificationKind, new_plan
-from ice.trajectory import TrajectoryStatus
+from ice.trajectory import Step, StepOutcome, TrajectoryStatus
 
 
 def make_runner(rules, *, goal_text="demo goal", memory=None, config=None,
@@ -1187,3 +1203,56 @@ def test_the_plan_walk_renders_no_goal_id_when_nothing_is_rectified(monkeypatch)
                                [(GoalId, "render")])
     assert report.rectifications == 0 and len(report.outcomes) == 3
     assert calls["render"] == []
+
+
+def test_a_task_run_calls_neither_json_dumps_nor_json_loads(monkeypatch):
+    """Every ReACT step rendered its arguments through ``json.dumps``, which
+    builds an encoder per call, and every reply was parsed through
+    ``json.loads``; both now go through one prebuilt encoder and decoder."""
+    scenario = ScriptedScenario.from_file(str(SUITE_DIR / "scenario.json"))
+    backend = ScriptedBackend(scenario)
+    task = TaskSpec.from_file(SUITE_DIR / "tasks" / "test_solar_markets.json")
+    # its dataset fixture read beforehand, as ``ice bench`` reads it
+    task.env_setup = [with_fixture_records(entry, task.base_dir, {})
+                      for entry in task.env_setup]
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("dumps", "loads"):
+        monkeypatch.setattr(json, name, counting(name, getattr(json, name)))
+    report = run_task(task, ExperienceMemory(), backend, RunConfig())
+    assert report.counters["all"] == 22
+    assert sum(len(o.trajectory.steps) for o in report.outcomes) > 0
+    assert calls == {}
+
+
+_RECORDS = [
+    (Message, (Role.USER, "hi")),
+    (CompletionRequest, ("sys", (Message(Role.USER, "hi"),), CallTag.OTHER)),
+    (ReactAction, ("think", False, "FileSystemEnv_read_file", {"filepath": "a"})),
+    (Step, (1, "think", "FileSystemEnv_read_file", {"filepath": "a"}, "x", StepOutcome.OK)),
+    (InvocationRecord, ("FileSystemEnv_read_file", {"filepath": "a"}, StepOutcome.OK)),
+]
+
+
+@pytest.mark.parametrize("kind, fields", _RECORDS, ids=[kind.__name__ for kind, _ in _RECORDS])
+def test_per_call_records_are_immutable_tuples_of_their_fields(kind, fields):
+    record = kind(*fields)
+    assert record == kind(**dict(zip(kind._fields, fields))) == fields
+    for name in kind._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+def test_each_parsed_react_action_has_its_own_arguments():
+    first = parse_react_reply('{"thought": "done", "terminate": true}')
+    second = parse_react_reply('{"terminate": true}')
+    assert first == ReactAction("done", True, "", {})
+    assert first.tool_args is not second.tool_args

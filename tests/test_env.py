@@ -78,6 +78,16 @@ def test_keyword_search_over_documents():
     assert output == "No results for nuclear."
 
 
+def test_keyword_search_matches_every_token_in_any_case_in_document_order():
+    documents = ["Solar MARKETS grew in Europe", "solar panels", "EUROPE buys solar Markets",
+                 "markets of europe, SOLAR too", "Wind markets in Europe"]
+    env = make_env(documents=documents)
+    output, outcome = env.invoke("SearchEnv_keyword_search",
+                                 {"query": "  europe SOLAR\tmarkets "})
+    assert outcome is StepOutcome.OK
+    assert output.split("\n") == [documents[0], documents[2], documents[3]]
+
+
 def test_missing_required_argument_is_tool_error_naming_the_arg():
     env = make_env()
     for tool in builtin_toolkit():

@@ -43,6 +43,8 @@ def test_render_layout_is_stable():
 def test_requests_need_messages():
     with pytest.raises(ValueError):
         CompletionRequest("sys", (), CallTag.OTHER)
+    with pytest.raises(ValueError, match="at least one message"):
+        CompletionRequest(system="sys", messages=(), tag=CallTag.OTHER)
 
 
 def test_scripted_match_and_counters():

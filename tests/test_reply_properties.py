@@ -1,5 +1,8 @@
 """Properties of the reply parsers behind the one repair loop.
 
+``extract_json_document`` gives what it gave when each candidate went
+through ``json.loads``; the reference below is that version.
+
 ``complete_parsed`` re-prompts on ``ValueError`` and on nothing else, so a
 parser that raised anything else would end the task instead of asking again.
 A milestone that passes parsing must also be judgeable later, or the task
@@ -13,6 +16,7 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ice.consolidate import extract_json_document
 from ice.engine import parse_plan_reply, parse_rectify_reply, parse_react_reply
 from ice.env import SimulatedEnvironment, builtin_toolkit, evaluate_milestones, parse_predicate
 from ice.errors import BadPredicate
@@ -83,3 +87,52 @@ def test_a_parsed_milestone_can_always_be_judged(text):
         return
     env = SimulatedEnvironment(tools=builtin_toolkit())
     assert evaluate_milestones([text], env) in (True, False)
+
+
+def _extract_with_loads(text):
+    stripped = text.strip()
+    if stripped.startswith("```"):
+        stripped = stripped.strip("`")
+        if stripped.startswith("json"):
+            stripped = stripped[4:]
+        stripped = stripped.strip()
+    for candidate in (stripped, "{" + stripped + "}"):
+        try:
+            doc = json.loads(candidate)
+        except (json.JSONDecodeError, RecursionError):
+            continue
+        if isinstance(doc, dict):
+            return doc
+    decoder = json.JSONDecoder()
+    start = stripped.find("{")
+    while start != -1:
+        try:
+            doc, _ = decoder.raw_decode(stripped[start:])
+        except (json.JSONDecodeError, RecursionError):
+            start = stripped.find("{", start + 1)
+            continue
+        if isinstance(doc, dict):
+            return doc
+        start = stripped.find("{", start + 1)
+    raise ValueError("no JSON object found in the reply")
+
+
+def _outcome(parse, text):
+    try:
+        return repr(parse(text))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(reply_texts)
+@example(' \n{"a": 1}\t ')
+@example('\ufeff{"a": 1}')
+@example('\x1c{"a": 1} \x85')
+@example('"a": 1, "b": [2] ')
+@example('{"a": 1} {"b": 2}')
+@example('"a": 1} {"b": 2')
+@example('{"a": 1}\n')
+@example("```json\n{\"a\": NaN}\n```")
+def test_extract_json_document_matches_the_json_loads_reference(text):
+    assert _outcome(extract_json_document, text) == _outcome(_extract_with_loads, text)

@@ -29,6 +29,16 @@ def test_record_step_assigns_contiguous_indices():
     assert [s.index for s in traj.steps] == [1, 2, 3, 4]
 
 
+def test_record_step_renumbers_a_step_with_the_wrong_index_and_keeps_its_fields():
+    traj = Trajectory(goal_id=g("1"))
+    traj.record_step(make_step(1))
+    wrong = make_step(7, tool="FileSystemEnv_read_file", outcome=StepOutcome.TOOL_ERROR)
+    stored = traj.record_step(wrong)
+    assert type(stored) is Step and stored is traj.steps[-1]
+    assert stored == wrong._replace(index=2)
+    assert wrong.index == 7  # the caller's step is left as it was
+
+
 def test_append_after_finalize_rejected():
     traj = Trajectory(goal_id=g("1"))
     traj.finalize(TrajectoryStatus.SUCCESS)
