@@ -93,7 +93,6 @@ print(f"  backend calls: {train.counters['all']} "
       f"consolidation {train.counters['by_tag']['consolidation']})")
 print(f"  memory now holds {len(memory)} records")
 
-backend.reset_counters()
 exploit = run_task(
     task, memory, backend,
     RunConfig(planning_ice=True, execution_ice=True, mode=RunMode.EXPLOIT),

@@ -33,7 +33,6 @@ from .llm import (
     Role,
     ScriptedBackend,
     ScriptedScenario,
-    TagRoutingBackend,
 )
 from .memory import (
     Embedding,

@@ -22,7 +22,6 @@ from .bench import (
 from .consolidate import consolidate_pipeline
 from .engine import RunConfig, RunMode, TaskSpec, run_task
 from .errors import (
-    ArmFailed,
     BackendError,
     ConsolidationFailed,
     IceError,
@@ -237,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return _HANDLERS[args.command](args)
-    except (BackendError, ConsolidationFailed, TaskAborted, ArmFailed) as exc:
+    except (BackendError, ConsolidationFailed, TaskAborted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
     except (UnknownRecord, PipelineSchemaError, OSError, ValueError) as exc:

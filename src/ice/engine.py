@@ -45,7 +45,7 @@ from .errors import (
     UnknownTool,
     read_json,
 )
-from .llm import CallTag, LlmBackend, complete_parsed, counters_delta
+from .llm import CallTag, LlmBackend, complete_parsed
 from .memory import (
     ExperienceMemory,
     MemoryRecord,
@@ -751,7 +751,7 @@ class TaskRunner:
     # -- full run -----------------------------------------------------------------
 
     def run(self) -> TaskRunReport:
-        before = self.backend.counters.snapshot()
+        before = self.backend.calls.copy()
         try:
             self.generate_initial_plan()
             self._achieve(self.tree.root)
@@ -759,12 +759,12 @@ class TaskRunner:
                 self._consolidate_and_store()
         except BackendError as exc:
             raise TaskAborted(f"backend failure: {exc}") from exc
-        after = self.backend.counters.snapshot()
+        by_tag = {tag._value_: n - before[tag] for tag, n in self.backend.calls.items()}
         return TaskRunReport(
             task_id=self.task.task_id,
             plan=self.tree,
             outcomes=self.outcomes,
-            counters=counters_delta(before, after),
+            counters={"all": sum(by_tag.values()), "by_tag": by_tag},
             rectifications=len(self.tree.log),
         )
 

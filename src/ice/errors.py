@@ -142,10 +142,3 @@ class PipelineRunFailed(IceError):
 
 class TaskAborted(IceError):
     """A task run stopped on an unrecoverable backend failure."""
-
-
-# --- harness ------------------------------------------------------------
-
-
-class ArmFailed(IceError):
-    """One benchmark arm failed; other arms are unaffected."""

@@ -32,14 +32,12 @@ __all__ = [
     "CompletionRequest",
     "complete_parsed",
     "REPAIR_LIMIT",
-    "CallCounters",
     "render_request",
     "LlmBackend",
     "ScriptedRule",
     "ScriptedScenario",
     "ScriptedBackend",
     "HttpChatBackend",
-    "TagRoutingBackend",
 ]
 
 ENV_ENDPOINT = "ICE_LLM_ENDPOINT"
@@ -86,6 +84,11 @@ class CompletionRequest(_Request):
             raise ValueError("a completion request needs at least one message")
         return tuple.__new__(cls, (system, messages, tag))
 
+    @classmethod
+    def _make(cls, iterable: Any) -> CompletionRequest:
+        # ``_replace`` builds through ``_make``, so neither skips the check above
+        return cls(*iterable)
+
 
 def _retry_text(exc: ValueError) -> str:
     return f"Could not apply that reply: {exc}. Reply again with valid JSON."
@@ -120,52 +123,18 @@ def render_request(request: CompletionRequest) -> str:
     return "\n".join(lines)
 
 
-#: Each tag's value in ``CallTag`` order (``Enum.value`` is a Python-level property).
-_TAG_VALUES = tuple(tag.value for tag in CallTag)
-
-
-class CallCounters:
-    """Totals per tag."""
-
-    def __init__(self) -> None:
-        self._by_tag: dict[CallTag, int] = {tag: 0 for tag in CallTag}
-
-    def record(self, tag: CallTag) -> None:
-        self._by_tag[tag] += 1
-
-    def by_tag(self, tag: CallTag) -> int:
-        return self._by_tag[tag]
-
-    def snapshot(self) -> dict[str, Any]:
-        by_tag = dict(zip(_TAG_VALUES, self._by_tag.values()))
-        return {"all": sum(by_tag.values()), "by_tag": by_tag}
-
-    def reset(self) -> None:
-        for tag in self._by_tag:
-            self._by_tag[tag] = 0
-
-
-def counters_delta(before: dict[str, Any], after: dict[str, Any]) -> dict[str, Any]:
-    old, new = before["by_tag"], after["by_tag"]
-    by_tag = {tag: new[tag] - old[tag] for tag in _TAG_VALUES}
-    return {"all": sum(by_tag.values()), "by_tag": by_tag}
-
-
 class LlmBackend:
-    """Base class: counts every call, then dispatches to the provider."""
+    """Base class: counts every call in ``calls``, then dispatches to the provider."""
 
     def __init__(self) -> None:
-        self.counters = CallCounters()
+        self.calls: dict[CallTag, int] = dict.fromkeys(CallTag, 0)
 
     def complete(self, request: CompletionRequest) -> str:
-        self.counters.record(request.tag)
+        self.calls[request.tag] += 1
         return self._complete(request)
 
     def _complete(self, request: CompletionRequest) -> str:
         raise NotImplementedError
-
-    def reset_counters(self) -> None:
-        self.counters.reset()
 
 
 @dataclass
@@ -360,19 +329,3 @@ class HttpChatBackend(LlmBackend):
             raise HttpBackendError(f"chat completion failed: {exc}") from exc
         except (KeyError, IndexError, ValueError, RecursionError) as exc:
             raise HttpBackendError(f"malformed chat completion reply: {exc}") from exc
-
-
-class TagRoutingBackend(LlmBackend):
-    """Route requests to different providers per tag (e.g. a cheaper model for
-    tool handling). The router's own counters still see every call."""
-
-    def __init__(
-        self, default: LlmBackend, overrides: dict[CallTag, LlmBackend] | None = None
-    ) -> None:
-        super().__init__()
-        self.default = default
-        self.overrides = dict(overrides or {})
-
-    def _complete(self, request: CompletionRequest) -> str:
-        backend = self.overrides.get(request.tag, self.default)
-        return backend.complete(request)

@@ -20,7 +20,7 @@ from ice.bench import (
     run_bench,
 )
 from ice.engine import RunConfig, TaskSpec
-from ice.llm import LlmBackend, ScriptedRule, ScriptedScenario
+from ice.llm import CallTag, LlmBackend, ScriptedBackend, ScriptedRule, ScriptedScenario
 from ice.memory import RecordKind
 from suite_builder import suite_files
 
@@ -111,6 +111,42 @@ def test_counter_identities_hold_on_every_report(suite_result):
         assert metrics.api_calls_tools <= metrics.api_calls_all
         total = sum(r.counters["all"] for r in arm_result.test_reports)
         assert total == metrics.api_calls_all
+
+
+def test_task_counters_match_an_independent_count(monkeypatch):
+    """Each report's counts, and each arm's totals, against a tally the
+    scripted backend keeps apart from ``LlmBackend.calls``."""
+    tally = Counter()
+    complete = ScriptedBackend._complete
+
+    def counted_complete(self, request):
+        tally[request.tag] += 1
+        return complete(self, request)
+
+    deltas = []
+    run_task = ice.bench.run_task
+
+    def measured_run_task(*args):
+        before = tally.copy()
+        report = run_task(*args)
+        deltas.append({tag.value: tally[tag] - before[tag] for tag in CallTag})
+        return report
+
+    monkeypatch.setattr(ScriptedBackend, "_complete", counted_complete)
+    monkeypatch.setattr(ice.bench, "run_task", measured_run_task)
+    result = run_bench(BenchSpec.from_file(SUITE_DIR / "bench.json"))
+    assert result.failures == []
+    reports = [r for a in result.arms for r in a.train_reports + a.test_reports]
+    assert len(reports) == len(deltas) > 0
+    for report, by_tag in zip(reports, deltas):
+        assert report.counters == {"all": sum(by_tag.values()), "by_tag": by_tag}
+    start = 0
+    for arm_result in result.arms:
+        start += len(arm_result.train_reports)
+        test = deltas[start:start + len(arm_result.test_reports)]
+        start += len(arm_result.test_reports)
+        assert arm_result.metrics.api_calls_all == sum(sum(d.values()) for d in test)
+        assert arm_result.metrics.api_calls_tools == sum(d["tool_handling"] for d in test)
 
 
 def test_reutilization_numerator_matches_shadow_count(suite_result):

@@ -29,7 +29,7 @@ from ice.consolidate import (
     workflow_to_dict,
 )
 from ice.errors import ConsolidationFailed, UnfinalizedTree
-from ice.llm import REPAIR_LIMIT
+from ice.llm import REPAIR_LIMIT, CallTag
 import ice.pipeline
 from ice.pipeline import dumps_pipeline, pipeline_to_dict, validate_document
 from ice.plan import GoalStatus, new_plan
@@ -141,7 +141,7 @@ def test_consolidating_the_linear_demo_round_trips():
     )
     automaton = consolidate_pipeline(traj, goal, backend)
     assert pipeline_to_dict(automaton) == pipeline_to_dict(DEMONSTRATIONS[0].pipeline)
-    assert backend.counters.snapshot()["by_tag"]["consolidation"] == 1
+    assert backend.calls[CallTag.CONSOLIDATION] == 1
 
 
 def test_naked_document_without_outer_braces_is_accepted():
@@ -161,7 +161,7 @@ def test_malformed_then_valid_reply_costs_one_repair_round():
     automaton = consolidate_pipeline(traj, goal, backend)
     assert pipeline_to_dict(automaton) == pipeline_to_dict(DEMONSTRATIONS[1].pipeline)
     # repair rounds == consolidation calls - 1
-    assert backend.counters.snapshot()["by_tag"]["consolidation"] == 2
+    assert backend.calls[CallTag.CONSOLIDATION] == 2
 
 
 def test_repair_prompt_carries_the_violation_list():
@@ -224,7 +224,7 @@ def test_repair_limit_exhaustion_raises():
     backend = scripted([{"match": "", "response": "never valid"}])
     with pytest.raises(ConsolidationFailed):
         consolidate_pipeline(traj, goal, backend)
-    assert backend.counters.snapshot()["by_tag"]["consolidation"] == REPAIR_LIMIT + 1
+    assert backend.calls[CallTag.CONSOLIDATION] == REPAIR_LIMIT + 1
 
 
 def test_failed_trajectories_are_not_consolidated():

@@ -112,7 +112,7 @@ def test_react_three_steps_then_terminate():
     traj = runner.react_loop(leaf("search climate news", ["file_exists:news.txt"]))
     assert len(traj.steps) == 3
     assert traj.final_status is TrajectoryStatus.SUCCESS
-    assert runner.backend.counters.by_tag(CallTag.TOOL_HANDLING) == 4
+    assert runner.backend.calls[CallTag.TOOL_HANDLING] == 4
 
 
 def test_react_caps_at_max_steps_and_fails():
@@ -123,7 +123,7 @@ def test_react_caps_at_max_steps_and_fails():
     traj = runner.react_loop(leaf("never ends"))
     assert len(traj.steps) == 4
     assert traj.final_status is TrajectoryStatus.FAILURE
-    assert runner.backend.counters.by_tag(CallTag.TOOL_HANDLING) == 4
+    assert runner.backend.calls[CallTag.TOOL_HANDLING] == 4
 
 
 def test_react_unknown_tool_becomes_tool_error_step():
@@ -216,7 +216,7 @@ def test_react_parse_repair_then_step_parse_error():
     runner = make_runner([{"match": "", "response": "not json at all"}])
     with pytest.raises(StepParseError):
         runner.react_loop(leaf("anything"))
-    assert runner.backend.counters.by_tag(CallTag.TOOL_HANDLING) == REPAIR_LIMIT + 1
+    assert runner.backend.calls[CallTag.TOOL_HANDLING] == REPAIR_LIMIT + 1
 
 
 def test_react_without_explicit_terminate_is_failure_even_if_milestones_hold():
@@ -263,7 +263,7 @@ def test_linear_pipeline_runs_all_four_tools():
     ]
     assert runner.environment.world.files["blog_post_material.txt"] == "response1 + response2"
     # one parameter call per tool node, no choice calls on a linear pipeline
-    assert runner.backend.counters.by_tag(CallTag.TOOL_HANDLING) == 4
+    assert runner.backend.calls[CallTag.TOOL_HANDLING] == 4
 
 
 def switch_rules(sku_first, sku_retry, choice_edge):
@@ -301,7 +301,7 @@ def test_switch_pipeline_success_branch_runs_three_tools():
         "FileSystemEnv_write_to_file",
     ]
     # 3 parameter calls + 1 switch decision
-    assert runner.backend.counters.by_tag(CallTag.TOOL_HANDLING) == 4
+    assert runner.backend.calls[CallTag.TOOL_HANDLING] == 4
 
 
 def test_switch_pipeline_failure_branch_runs_five_tools():
@@ -318,7 +318,7 @@ def test_switch_pipeline_failure_branch_runs_five_tools():
     assert ok is True
     assert len(traj.steps) == 5
     assert traj.steps[0].outcome.value == "tool_error"  # the switch trigger
-    assert runner.backend.counters.by_tag(CallTag.TOOL_HANDLING) == 6
+    assert runner.backend.calls[CallTag.TOOL_HANDLING] == 6
 
 
 def test_zero_tool_pipeline_succeeds_with_empty_trajectory():
@@ -331,7 +331,7 @@ def test_zero_tool_pipeline_succeeds_with_empty_trajectory():
     runner = make_runner([])
     traj, ok = runner.run_pipeline(pipeline, leaf("noop"))
     assert ok is True and traj.steps == []
-    assert runner.backend.counters.snapshot()["all"] == 0
+    assert sum(runner.backend.calls.values()) == 0
 
 
 @pytest.mark.parametrize("rules, calls", [
@@ -344,7 +344,7 @@ def test_invalid_pipeline_replies_retry_then_fail(rules, calls):
     runner = make_runner(rules, products={"W003247135": "r"})
     with pytest.raises(PipelineRunFailed):
         runner.run_pipeline(DEMONSTRATIONS[1].pipeline, leaf("x"))
-    assert runner.backend.counters.by_tag(CallTag.TOOL_HANDLING) == calls
+    assert runner.backend.calls[CallTag.TOOL_HANDLING] == calls
 
 
 def test_unregistered_tool_fails_the_pipeline_run():
@@ -424,7 +424,7 @@ def test_plan_parse_error_after_repairs():
     runner = make_runner([{"match": "", "response": "garbage"}])
     with pytest.raises(PlanParseError):
         runner.generate_initial_plan()
-    assert runner.backend.counters.by_tag(CallTag.PLANNING) == REPAIR_LIMIT + 1
+    assert runner.backend.calls[CallTag.PLANNING] == REPAIR_LIMIT + 1
 
 
 def test_plan_repair_round_recovers():
@@ -451,7 +451,7 @@ def test_a_malformed_plan_reply_is_re_prompted_before_the_run(first_reply):
         {"match": "Subgoal: write notes\nCompleted steps: 1", "response": TERMINATE},
     ])
     report = runner.run()
-    assert runner.backend.counters.by_tag(CallTag.PLANNING) == 2
+    assert runner.backend.calls[CallTag.PLANNING] == 2
     assert report.plan.find(g("1")).milestones == ["file_exists:notes.txt"]
     assert [o.success for o in report.outcomes] == [True]
 
@@ -470,7 +470,7 @@ def test_a_count_of_non_decimal_digits_is_re_prompted_before_the_run():
         {"match": "Subgoal: write notes\nCompleted steps: 1", "response": TERMINATE},
     ])
     report = runner.run()
-    assert runner.backend.counters.by_tag(CallTag.PLANNING) == 2
+    assert runner.backend.calls[CallTag.PLANNING] == 2
     assert [o.success for o in report.outcomes] == [True]
 
 
@@ -584,7 +584,7 @@ def test_a_rectify_reply_whose_second_action_fails_leaves_the_live_tree_as_it_wa
     before = runner.tree.to_dict()
     with pytest.raises(RectifyParseError, match="no goal with id '99'"):
         runner.rectify_plan(g("2"))
-    assert runner.backend.counters.by_tag(CallTag.PLANNING) == REPAIR_LIMIT + 1
+    assert runner.backend.calls[CallTag.PLANNING] == REPAIR_LIMIT + 1
     assert runner.tree.to_dict() == before
     assert runner.tree.log == []
 
@@ -597,7 +597,7 @@ def test_a_half_applicable_rectify_reply_is_re_prompted_and_only_the_repair_appl
         {"match": "Failed subgoal: beta", "response": HALF_APPLICABLE},
     ])
     tree = runner.rectify_plan(g("2"))
-    assert runner.backend.counters.by_tag(CallTag.PLANNING) == 2
+    assert runner.backend.calls[CallTag.PLANNING] == 2
     assert [c.description for c in tree.root.children] == ["alpha", "beta"]
     assert [c.description for c in tree.find(g("2")).children] == ["fixed"]
     assert [(ev.kind, ev.introduced) for ev in tree.log] == [
@@ -623,7 +623,7 @@ def test_malformed_rectify_reply_is_re_prompted(bad_action):
         {"match": "Failed subgoal", "response": {"actions": [bad_action]}},
     ])
     tree = runner.rectify_plan(g("2"))
-    assert runner.backend.counters.by_tag(CallTag.PLANNING) == 2
+    assert runner.backend.calls[CallTag.PLANNING] == 2
     [child] = tree.find(g("2")).children
     assert (child.description, child.milestones) == ("fixed", ["file_exists:a.txt"])
     assert len(tree.log) == 1
@@ -633,7 +633,7 @@ def test_rectify_parse_error_after_budget():
     runner = failed_leaf_runner([{"match": "", "response": "nonsense"}])
     with pytest.raises(RectifyParseError):
         runner.rectify_plan(g("2"))
-    assert runner.backend.counters.by_tag(CallTag.PLANNING) == REPAIR_LIMIT + 1
+    assert runner.backend.calls[CallTag.PLANNING] == REPAIR_LIMIT + 1
 
 
 # -- handle_subgoal -------------------------------------------------------------------
@@ -717,7 +717,7 @@ def test_pipeline_failure_falls_back_to_react_keeping_all_calls():
     assert outcome.method is ExecutionMethod.REACT
     assert outcome.success is True
     # 1 param call from the doomed pipeline attempt + 1 react terminate
-    assert runner.backend.counters.by_tag(CallTag.TOOL_HANDLING) == 2
+    assert runner.backend.calls[CallTag.TOOL_HANDLING] == 2
 
 
 def test_reutilization_shadow_count_over_twenty_subgoals():
@@ -794,8 +794,8 @@ def test_an_invalid_stored_pipeline_falls_back_to_react_once_judged(
         assert outcome.method is ExecutionMethod.REACT
         assert outcome.success is True
         # the ReACT terminate is the only call: none is spent on the pipeline
-        assert runner.backend.counters.by_tag(CallTag.TOOL_HANDLING) == hits
-        assert runner.backend.counters.snapshot()["all"] == hits
+        assert runner.backend.calls[CallTag.TOOL_HANDLING] == hits
+        assert sum(runner.backend.calls.values()) == hits
     assert calls == {"pipeline_from_dict": 1, "validate_pipeline": validations}
 
 
@@ -928,7 +928,7 @@ def test_a_task_whose_second_consolidation_fails_stores_no_record():
     with pytest.raises(ConsolidationFailed):
         run_task(note_task(), memory, backend, RunConfig(mode=RunMode.TRAIN))
     # the first pipeline consolidated in one call, the second used every repair
-    assert backend.counters.by_tag(CallTag.CONSOLIDATION) == 1 + REPAIR_LIMIT + 1
+    assert backend.calls[CallTag.CONSOLIDATION] == 1 + REPAIR_LIMIT + 1
     assert len(memory) == 0
 
 
@@ -937,7 +937,6 @@ def test_exploit_rerun_uses_pipelines_and_fewer_tool_calls():
     backend = scripted(note_task_rules())
     train_report = run_task(note_task(), memory, backend,
                             RunConfig(mode=RunMode.TRAIN))
-    backend.reset_counters()
     exploit_report = run_task(
         note_task(), memory, backend,
         RunConfig(planning_ice=True, execution_ice=True, mode=RunMode.EXPLOIT),

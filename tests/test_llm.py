@@ -19,7 +19,6 @@ from ice.llm import (
     Role,
     ScriptedBackend,
     ScriptedScenario,
-    TagRoutingBackend,
     _RuleIndex,
     render_request,
 )
@@ -45,6 +44,12 @@ def test_requests_need_messages():
         CompletionRequest("sys", (), CallTag.OTHER)
     with pytest.raises(ValueError, match="at least one message"):
         CompletionRequest(system="sys", messages=(), tag=CallTag.OTHER)
+    # the NamedTuple helpers build through the same check
+    with pytest.raises(ValueError, match="at least one message"):
+        request("x")._replace(messages=())
+    with pytest.raises(ValueError, match="at least one message"):
+        CompletionRequest._make(("sys", (), CallTag.OTHER))
+    assert CompletionRequest._make(request("x")) == request("x")
 
 
 def test_scripted_match_and_counters():
@@ -55,9 +60,8 @@ def test_scripted_match_and_counters():
     ])
     reply = backend.complete(request("Subtask: research climate"))
     assert json.loads(reply)["tool_name"] == "SearchEnv_keyword_search"
-    snap = backend.counters.snapshot()
-    assert snap["all"] == 1
-    assert snap["by_tag"]["tool_handling"] == 1
+    assert backend.calls == {CallTag.PLANNING: 0, CallTag.TOOL_HANDLING: 1,
+                             CallTag.CONSOLIDATION: 0, CallTag.OTHER: 0}
 
 
 def test_counters_sum_over_tags():
@@ -66,10 +70,8 @@ def test_counters_sum_over_tags():
         backend.complete(request("x", CallTag.PLANNING))
     for _ in range(5):
         backend.complete(request("x", CallTag.TOOL_HANDLING))
-    snap = backend.counters.snapshot()
-    assert snap["all"] == 8
-    assert sum(snap["by_tag"].values()) == 8
-    assert snap["by_tag"]["planning"] == 3
+    assert sum(backend.calls.values()) == 8
+    assert backend.calls[CallTag.PLANNING] == 3
 
 
 def test_no_match_is_an_error_never_a_default():
@@ -77,7 +79,7 @@ def test_no_match_is_an_error_never_a_default():
     with pytest.raises(NoScenarioMatch):
         backend.complete(request("entirely different"))
     # failed attempts are still counted: the call reached the provider
-    assert backend.counters.snapshot()["all"] == 1
+    assert sum(backend.calls.values()) == 1
 
 
 def test_first_matching_rule_with_remaining_uses_fires():
@@ -106,30 +108,15 @@ def test_structured_responses_are_serialized():
     assert json.loads(backend.complete(request("x"))) == {"subgoals": []}
 
 
-def test_reset_counters_zeroes_everything():
-    backend = scripted([{"match": "", "response": "ok"}])
-    backend.complete(request("x"))
-    backend.reset_counters()
-    snap = backend.counters.snapshot()
-    assert snap["all"] == 0
-    assert all(v == 0 for v in snap["by_tag"].values())
-
-
 def test_counters_match_shadow_accumulator():
     backend = scripted([{"match": "", "response": "ok"}])
     rng = random.Random(31)
     shadow = {tag: 0 for tag in CallTag}
     for _ in range(300):
-        if rng.random() < 0.1:
-            backend.reset_counters()
-            shadow = {tag: 0 for tag in CallTag}
-        else:
-            tag = rng.choice(list(CallTag))
-            backend.complete(request("x", tag))
-            shadow[tag] += 1
-        snap = backend.counters.snapshot()
-        assert snap["all"] == sum(shadow.values())
-        assert snap["by_tag"] == {t.value: n for t, n in shadow.items()}
+        tag = rng.choice(list(CallTag))
+        backend.complete(request("x", tag))
+        shadow[tag] += 1
+        assert backend.calls == shadow
 
 
 def test_scenario_file_round_trip(tmp_path):
@@ -233,18 +220,6 @@ def test_rules_are_filed_under_their_rarest_middle_token():
     assert backend.complete(request("subSubgoal: collect notes nowhere")) == "b"
 
 
-def test_tag_routing_backend_routes_and_counts():
-    planner = scripted([{"match": "", "response": "plan"}])
-    handler = scripted([{"match": "", "response": "handle"}])
-    router = TagRoutingBackend(handler, {CallTag.PLANNING: planner})
-    assert router.complete(request("x", CallTag.PLANNING)) == "plan"
-    assert router.complete(request("x", CallTag.TOOL_HANDLING)) == "handle"
-    snap = router.counters.snapshot()
-    assert snap["all"] == 2
-    assert planner.counters.snapshot()["all"] == 1
-    assert handler.counters.snapshot()["all"] == 1
-
-
 def test_http_backend_requires_endpoint(monkeypatch):
     monkeypatch.delenv("ICE_LLM_ENDPOINT", raising=False)
     with pytest.raises(HttpBackendError):
@@ -259,7 +234,7 @@ def test_http_backend_reads_environment(monkeypatch):
     assert backend.model == "demo-model"
     with pytest.raises(HttpBackendError):
         backend.complete(request("x"))  # nothing listens on port 1
-    assert backend.counters.snapshot()["all"] == 1
+    assert sum(backend.calls.values()) == 1
 
 
 # -- the HTTP transport, with urlopen patched: no socket is opened -----------------
@@ -318,7 +293,7 @@ def test_http_backend_sends_the_conversation_and_returns_the_content(monkeypatch
         {"role": "assistant", "content": "oops"},
         {"role": "user", "content": "again"},
     ]}
-    assert backend.counters.snapshot()["by_tag"]["planning"] == 1
+    assert backend.calls[CallTag.PLANNING] == 1
 
 
 def test_http_backend_without_a_key_sends_no_bearer_header(monkeypatch):
@@ -345,4 +320,4 @@ def test_http_backend_failures_raise_and_count_each_attempt_once(monkeypatch, ou
         with pytest.raises(HttpBackendError):
             backend.complete(request("x"))
         assert len(sent) == attempt
-        assert backend.counters.snapshot()["all"] == attempt
+        assert sum(backend.calls.values()) == attempt
